@@ -6,7 +6,14 @@ returns a float.
 
 import math
 
-__all__ = ["TRIAL_DIVISION_BOUND", "isqrt", "is_perfect_square", "mod_pow", "legendre"]
+__all__ = [
+    "TRIAL_DIVISION_BOUND",
+    "isqrt",
+    "is_perfect_square",
+    "mod_pow",
+    "legendre",
+    "factorize",
+]
 
 TRIAL_DIVISION_BOUND = 10**6
 
@@ -66,6 +73,36 @@ def legendre(a: int, p: int, *, assume_prime: bool = False) -> int:
     if e == p - 1:
         return -1
     raise ValueError(f"{p} fails Euler's criterion and cannot be prime")
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 as (prime, exponent) pairs, ascending.
+
+    Trial division runs up to TRIAL_DIVISION_BOUND.  A cofactor left over
+    below TRIAL_DIVISION_BOUND**2 has no factor below its square root and is
+    prime; a larger one cannot be factored this way and raises ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"can only factorize positive integers, got {n}")
+    given = n
+    factors = []
+    d = 2
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if n > TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+            raise ValueError(
+                f"cannot factor {given}: the cofactor {n} has no prime factor up "
+                f"to {TRIAL_DIVISION_BOUND} and exceeds {TRIAL_DIVISION_BOUND}**2"
+            )
+        factors.append((n, 1))
+    return factors
 
 
 def _check_odd_prime(p: int, assume_prime: bool) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import _SQUARES_MOD_256, is_perfect_square, isqrt
+from .arith import _SQUARES_MOD_256, factorize, is_perfect_square, isqrt
 from .pell import PellProblem, solve_general
 from .tuples import ConditionWitness, DiophTuple, reduce_pair, verify
 
@@ -97,20 +97,20 @@ def _require_verified_triple(t: DiophTuple) -> None:
         )
 
 
-def pell_extension_search(
-    t: DiophTuple, max_index: int, *, class_bound: int = 10**5
-) -> SearchReport:
+def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     """Candidate fourth elements for t via the Pell reduction.
 
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
-    k*b*(b-a); every solution class is walked max_index unit-multiplications
-    in both directions.  Each member yields m = (x^2 - k)/a when integral;
-    m <= 0 is discarded, m equal to an existing element is reported as a
-    self-hit, and every other m becomes a candidate whose third condition
-    c*m + k is then tested.
+    k*b*(b-a); every solution class (solve_general finds them all) is walked
+    max_index unit-multiplications in both directions.  Each member yields
+    m = (x^2 - k)/a when integral; m <= 0 is discarded, m equal to an
+    existing element is reported as a self-hit, and every other m becomes a
+    candidate whose third condition c*m + k is then tested.
 
     When a*b happens to be a perfect square the reduced equation factors and
-    has finitely many solutions, which are enumerated outright.
+    has finitely many solutions, which are enumerated outright.  Either way
+    |k*b*(b-a)| is factored by trial division, which raises ValueError when
+    it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
@@ -121,7 +121,7 @@ def pell_extension_search(
     if is_perfect_square(red.D) is not None:
         solutions = _square_discriminant_solutions(red.D, red.N)
     else:
-        for cls in solve_general(PellProblem(red.D, red.N), class_bound=class_bound):
+        for cls in solve_general(PellProblem(red.D, red.N)):
             for u, v in cls.members(max_index):
                 solutions.append((abs(u), abs(v)))
     found: dict[int, ExtensionCandidate] = {}
@@ -151,26 +151,17 @@ def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
     # X^2 - d^2*Y^2 = N factors as (X - d*Y)(X + d*Y) = N: finitely many
     # divisor pairs, no unit to advance by.
     d = isqrt(D)
+    divisors = [1]
+    for p, power in factorize(abs(N)):
+        divisors = [q * p**i for q in divisors for i in range(power + 1)]
     out = set()
-    for e in _divisors(abs(N)):
+    for e in divisors:
         for lo in (e, -e):
             hi = N // lo
             if (lo + hi) % 2 or (hi - lo) % (2 * d):
                 continue
             out.add((abs(lo + hi) // 2, abs(hi - lo) // (2 * d)))
     return sorted(out)
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-        d += 1
-    small.extend(reversed(large))
-    return small
 
 
 def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
@@ -291,11 +282,9 @@ def search_and_certify(
     t: DiophTuple,
     max_index: int = 30,
     max_modulus: int = 10**5,
-    *,
-    class_bound: int = 10**5,
 ) -> SearchReport:
     """Pell search first; when nothing extends, attempt a certificate."""
-    report = pell_extension_search(t, max_index, class_bound=class_bound)
+    report = pell_extension_search(t, max_index)
     if report.verdict == VERDICT_EXTENDED:
         return report
     cert = find_certificate(t, max_modulus)

@@ -8,9 +8,10 @@ set of solution classes of the generalized equation for arbitrary N != 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
-from .arith import is_perfect_square, isqrt
+from .arith import factorize, is_perfect_square, isqrt
 
 __all__ = [
     "CFExpansion",
@@ -86,18 +87,24 @@ def sqrt_cf(D: int) -> CFExpansion:
 
 def fundamental_solution(D: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 with y >= 1, from the convergents."""
-    cf = sqrt_cf(D)
-    p2, p1 = 0, 1
-    q2, q1 = 1, 0
-    # the fundamental solution appears within the first two periods
-    for a in cf.terms(2 * len(cf.period) + 2):
-        p = a * p1 + p2
-        q = a * q1 + q2
-        if q > 0 and p * p - D * q * q == 1:
-            return PellSolution(p, q)
-        p2, p1 = p1, p
-        q2, q1 = q1, q
-    raise RuntimeError(f"no fundamental solution found for D={D}")
+    return _units(sqrt_cf(D), D)[0]
+
+
+def _units(cf: CFExpansion, D: int) -> tuple[PellSolution, PellSolution | None]:
+    """The fundamental solutions of x^2 - D*y^2 = 1 and of x^2 - D*y^2 = -1.
+
+    One period of the expansion suffices: the convergent p/q just before its
+    end has p^2 - D*q^2 = (-1)^L for the period length L.  For even L that
+    is the unit and -1 is not a norm; for odd L it is the norm -1 solution
+    and its square is the unit.
+    """
+    p2, p1, q2, q1 = 0, 1, 1, 0
+    for a in (cf.a0,) + cf.period[:-1]:
+        p2, p1 = p1, a * p1 + p2
+        q2, q1 = q1, a * q1 + q2
+    if len(cf.period) % 2 == 0:
+        return PellSolution(p1, q1), None
+    return PellSolution(p1 * p1 + D * q1 * q1, 2 * p1 * q1), PellSolution(p1, q1)
 
 
 def unit_sequence(D: int, count: int) -> list[PellSolution]:
@@ -194,45 +201,217 @@ class PellClass:
         return [PellSolution(x, y) for x, y in sorted(found)]
 
 
-def solve_general(problem: PellProblem, class_bound: int = 10**6) -> list[PellClass]:
+def solve_general(problem: PellProblem) -> list[PellClass]:
     """All solution classes of x^2 - D*y^2 = N.
 
-    Base representatives are found by scanning 0 <= y <= Y, where Y is the
-    classical bound sqrt(|N|*(x1+1)/(2*D)) derived from the fundamental unit
-    (x1, y1); every class has a representative in that range.  The scan is
-    additionally capped at `class_bound` as a safety net against gigantic
-    fundamental units; classes whose representatives lie beyond the cap only
-    contain solutions with y > class_bound.
+    Uses the Lagrange-Matthews-Mollin reduction (J. P. Robertson, "Solving
+    the generalized Pell equation x^2 - Dy^2 = N", 2004; K. Matthews,
+    Expo. Math. 18, 2000).  Every solution with gcd(x, y) = f is f times a
+    primitive solution of x^2 - D*y^2 = m, m = N/f^2, and the primitive
+    classes correspond one to one with the roots z of z^2 = D (mod |m|) in
+    (-|m|/2, |m|/2] that carry a solution.  The continued fraction of
+    (z + sqrt(D))/|m| finds that solution at its first Q_i = +-1 within one
+    period, or shows there is none; the root -z carries the conjugate
+    class.  The result is therefore complete, whatever the size of the
+    fundamental unit.
+
+    Each class is given by its member of least y >= 0 (x >= 0 on a tie), and
+    the classes are sorted by (y, x < 0).  |N| is factored by trial division
+    (see dioph.arith.factorize), which raises ValueError when it leaves a
+    cofactor above TRIAL_DIVISION_BOUND**2.
     """
-    if class_bound < 1:
-        raise ValueError("class_bound must be >= 1")
     D, N = problem.D, problem.N
-    unit = fundamental_solution(D)
-    y_cap = min(isqrt(abs(N) * (unit.x + 1) // (2 * D)), class_bound)
+    cf = sqrt_cf(D)
+    unit, negative_unit = _units(cf, D)
+    principal = _principal_cycle(cf, D)
+    root_cache: dict[tuple[int, int], list[int]] = {}
     reps: list[tuple[int, int]] = []
-    value = N  # N + D*y^2, stepped incrementally
-    for y in range(y_cap + 1):
-        if value >= 0:
-            x = is_perfect_square(value)
-            if x is not None:
-                reps.append((x, y))
-                if x and y:
-                    reps.append((-x, y))
-        value += D * (2 * y + 1)
-    # Scanning y upward with +x before -x makes the first representative of
-    # each class the canonical one (minimal y, nonnegative x preferred).
-    kept: list[tuple[int, int]] = []
-    for x, y in reps:
-        if not any(_same_class(D, N, x, y, cx, cy) for cx, cy in kept):
-            kept.append((x, y))
+    factors = factorize(abs(N))
+    for halves in product(*(range(e // 2 + 1) for _, e in factors)):
+        f = 1
+        m_factors = []
+        for (p, e), h in zip(factors, halves):
+            f *= p**h
+            m_factors.append((p, e - 2 * h))
+        m = N // (f * f)
+        size = abs(m)
+        for z in _roots_mod(D, m_factors, root_cache):
+            if 2 * z > size:
+                continue  # -z < |m|/2 is a root too; its class is the conjugate
+            xy = _lmm_solution(D, cf.a0, principal, negative_unit, z, m)
+            if xy is None:
+                continue
+            x, y = _least_member(D, unit, f * xy[0], f * xy[1])
+            reps.append((x, y))
+            if 0 < 2 * z < size:
+                reps.append((-x, y))
+    reps.sort(key=lambda r: (r[1], r[0] < 0))
     return [
         PellClass(problem, PellSolution(abs(x), y), -1 if x < 0 else 1, unit)
-        for x, y in kept
+        for x, y in reps
     ]
 
 
-def _same_class(D: int, N: int, a: int, b: int, c: int, d: int) -> bool:
-    # (a+b*sqrt(D)) / (c+d*sqrt(D)) is a unit of norm one exactly when N
-    # divides both a*c - D*b*d and a*d - b*c.
-    n = abs(N)
-    return (a * c - D * b * d) % n == 0 and (a * d - b * c) % n == 0
+def _principal_cycle(cf: CFExpansion, D: int) -> set[tuple[int, int]]:
+    """The states (P, Q) of the periodic part of the expansion of sqrt(D)."""
+    states = set()
+    P, Q, a = 0, 1, cf.a0
+    for next_a in cf.period:
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        states.add((P, Q))
+        a = next_a
+    return states
+
+
+def _lmm_solution(
+    D: int,
+    s: int,
+    principal: set[tuple[int, int]],
+    negative_unit: PellSolution | None,
+    z: int,
+    m: int,
+) -> tuple[int, int] | None:
+    """A solution of x^2 - D*y^2 = m in the class belonging to the root z,
+    or None when that class is empty.  s is isqrt(D)."""
+    P, Q = z, abs(m)
+    quotients = []
+    while True:
+        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        quotients.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == 1 or Q == -1:
+            break
+        # From its first reduced term on, the expansion is purely periodic.
+        # Only the cycle of sqrt(D) itself holds a term with Q = 1, s+sqrt(D).
+        if 0 < P <= s and s - P < Q <= s + P and (P, Q) not in principal:
+            return None
+    G1, G0, B1, B0 = abs(m), -z, 0, 1  # G_{i-1}, G_{i-2}, B_{i-1}, B_{i-2}
+    for a in quotients:
+        G1, G0 = a * G1 + G0, G1
+        B1, B0 = a * B1 + B0, B1
+    # G^2 - D*B^2 = +-|m| = +-m; a norm -1 unit turns -m into m
+    if G1 * G1 - D * B1 * B1 == m:
+        return G1, B1
+    if negative_unit is None:
+        return None
+    t, u = negative_unit.x, negative_unit.y
+    return G1 * t + D * B1 * u, G1 * u + B1 * t
+
+
+def _least_member(D: int, unit: PellSolution, x: int, y: int) -> tuple[int, int]:
+    """The member of the class of (x, y) with least y >= 0, x >= 0 on a tie.
+
+    Along rep * unit**n, 2*sqrt(D)*y = alpha*e**n - alpha'*e**-n with
+    alpha*alpha' = N: monotone in n for N > 0, convex and of one sign for
+    N < 0.  Either way |y| falls and then rises, so the walk stops at the
+    least |y|, and a tie can only be with one neighbour.
+    """
+    x1, y1 = unit.x, unit.y
+    while True:
+        fx, fy = x * x1 + D * y * y1, x * y1 + y * x1
+        bx, by = x * x1 - D * y * y1, y * x1 - x * y1
+        if abs(fy) < abs(y):
+            x, y = fx, fy
+        elif abs(by) < abs(y):
+            x, y = bx, by
+        else:
+            break
+    ties = [(x, y)] + [(u, v) for u, v in ((fx, fy), (bx, by)) if abs(v) == abs(y)]
+    return max((-u, -v) if (v, u) < (0, 0) else (u, v) for u, v in ties)
+
+
+def _roots_mod(
+    D: int, factors: list[tuple[int, int]], cache: dict[tuple[int, int], list[int]]
+) -> list[int]:
+    """Every z in [0, n) with z^2 = D (mod n), n = prod p**e over factors,
+    combined by the Chinese remainder theorem from the prime-power roots
+    kept in cache across calls."""
+    zs, n = [0], 1
+    for p, e in factors:
+        if e == 0:
+            continue
+        roots = cache.get((p, e))
+        if roots is None:
+            roots = cache[(p, e)] = _roots_mod_prime_power(D, p, e)
+        q = p**e
+        if n == 1:
+            zs = roots
+        else:
+            inv = pow(n, -1, q)
+            zs = [z + n * ((r - z) * inv % q) for z in zs for r in roots]
+        n *= q
+    return zs
+
+
+def _roots_mod_prime_power(D: int, p: int, e: int) -> list[int]:
+    """Every z in [0, p**e) with z^2 = D (mod p**e), for a prime p."""
+    q = p**e
+    D %= q
+    if D == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = 0
+    while D % p == 0:
+        D //= p
+        v += 1
+    if v % 2:
+        return []
+    # z = p**h * w with w^2 = D/p**v (mod p**(e-v)); w is free mod p**(e-h)
+    h = v // 2
+    step = p ** (e - h)
+    return [
+        p**h * w + t * step
+        for w in _unit_roots_mod_prime_power(D, p, e - v)
+        for t in range(p**h)
+    ]
+
+
+def _unit_roots_mod_prime_power(u: int, p: int, j: int) -> list[int]:
+    """Every w in [0, p**j) with w^2 = u (mod p**j), for u prime to p."""
+    q = p**j
+    if p == 2:
+        if j <= 2:
+            return [w for w in range(1, q, 2) if (w * w - u) % q == 0]
+        if u % 8 != 1:
+            return []
+        w = 1
+        for i in range(3, j):  # w^2 = u (mod 2**i) -> (mod 2**(i+1)), w < 2**(i-1)
+            if (w * w - u) >> i & 1:
+                w += 1 << (i - 1)
+        half = q >> 1
+        return [w, q - w, half + w, half - w]
+    w = _sqrt_mod_prime(u % p, p)
+    if w is None:
+        return []
+    precision = p
+    while precision < q:  # Newton steps double the p-adic precision
+        precision = min(precision * precision, q)
+        w = (w - (w * w - u) * pow(2 * w, -1, precision)) % precision
+    return [w, q - w]
+
+
+def _sqrt_mod_prime(u: int, p: int) -> int | None:
+    """A root of w^2 = u (mod p) for an odd prime p and u prime to p
+    (Tonelli-Shanks), or None when u is a non-residue."""
+    if pow(u, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(u, (p + 1) // 4, p)
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    c = 2
+    while pow(c, (p - 1) // 2, p) == 1:
+        c += 1
+    c = pow(c, odd, p)
+    t, w = pow(u, odd, p), pow(u, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c, t, w = i, b * b % p, t * b * b % p, w * b % p
+    return w

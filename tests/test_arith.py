@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dioph.arith import is_perfect_square, isqrt, legendre, mod_pow
+from dioph.arith import (
+    TRIAL_DIVISION_BOUND,
+    factorize,
+    is_perfect_square,
+    isqrt,
+    legendre,
+    mod_pow,
+)
 
 
 def small_primes(limit):
@@ -81,6 +88,44 @@ class TestModPow:
     )
     def test_matches_exact_power(self, base, exp, modulus):
         assert mod_pow(base, exp, modulus) == (base**exp) % modulus
+
+
+class TestFactorize:
+    def test_examples(self):
+        assert factorize(1) == []
+        assert factorize(2) == [(2, 1)]
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert factorize(31540) == [(2, 2), (5, 1), (19, 1), (83, 1)]
+        # 999983 is the largest prime below the trial-division bound
+        assert factorize(2 * 999983**2) == [(2, 1), (999983, 2)]
+
+    def test_prime_cofactor_up_to_bound_squared(self):
+        # 10^9+7 and 10^12-11 have no factor below their square roots
+        assert factorize(10**9 + 7) == [(10**9 + 7, 1)]
+        assert factorize(6 * (10**12 - 11)) == [(2, 1), (3, 1), (10**12 - 11, 1)]
+
+    def test_cofactor_beyond_bound_squared_rejected(self):
+        assert 10**12 + 39 > TRIAL_DIVISION_BOUND**2
+        with pytest.raises(ValueError, match="cannot factor"):
+            factorize(10**12 + 39)
+        with pytest.raises(ValueError):
+            factorize(1000003 * 1000033)
+
+    @pytest.mark.parametrize("bad", [0, -1, -12])
+    def test_nonpositive_rejected(self, bad):
+        with pytest.raises(ValueError):
+            factorize(bad)
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_product_of_ascending_primes(self, n):
+        factors = factorize(n)
+        product = 1
+        for p, e in factors:
+            assert e >= 1
+            assert all(p % d for d in range(2, min(isqrt(p), 10**4) + 1))
+            product *= p**e
+        assert product == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
 
 
 class TestLegendre:

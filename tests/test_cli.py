@@ -155,6 +155,16 @@ class TestPellCommand:
         assert code == 0
         assert "no solutions" in out
 
+    def test_unfactorable_n_is_usage_error(self, capsys):
+        # 10^12 + 39 is prime and above the trial-division reach
+        code, out, err = run(capsys, "pell", "--d", "2", "--n", "-1000000000039")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot factor 1000000000039")
+        assert "Traceback" not in err
+
     def test_square_d_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pell", "--d", "49")
         assert code == 2

@@ -11,7 +11,7 @@ from dioph.extension import (
     search_and_certify,
     verify_certificate,
 )
-from dioph.tuples import DiophTuple
+from dioph.tuples import DiophTuple, verify
 
 T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
@@ -102,6 +102,31 @@ class TestPellExtensionSearch:
         assert report.self_hits == (11,)
         assert report.candidates == ()
         assert report.verdict == VERDICT_BOUNDED
+
+    @pytest.mark.parametrize(
+        "elements,k,m",
+        [((7, 83, 138), -5, 1881932883), ((1, 61, 78), 3, 184443558)],
+    )
+    def test_candidates_from_classes_past_the_old_cap(self, elements, k, m):
+        # these come from Pell classes a y-scan capped at 10^5 never found
+        report = pell_extension_search(DiophTuple(elements, k), 30)
+        candidate = {c.m: c for c in report.candidates}[m]
+        assert not candidate.complete
+        for w in candidate.witnesses:
+            assert w.root * w.root == w.element * m + k
+
+    def test_huge_square_discriminant_triple(self):
+        # a*b = 999983^2 and |k*b*(b-a)| is about 2*10^30: the divisor pairs
+        # come from a factorisation, not from a scan up to sqrt(|N|)
+        t = DiophTuple((1, 999966000289, 999968000258), 1999967)
+        report = pell_extension_search(t, 30)
+        assert report.self_hits == (999968000258,)
+        assert [c.m for c in report.candidates] == [999964000322]
+        for c in report.candidates:
+            for w in c.witnesses:
+                assert w.root * w.root == w.element * c.m + t.k
+            if c.complete:
+                assert verify(DiophTuple(t.elements + (c.m,), t.k)).ok
 
     def test_deeper_search_only_adds_candidates(self):
         shallow = {c.m for c in pell_extension_search(T_7_14_41, 10).candidates}

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.arith import is_perfect_square, isqrt
+from dioph.arith import TRIAL_DIVISION_BOUND, is_perfect_square, isqrt
 from dioph.pell import (
     PellClass,
     PellProblem,
@@ -11,6 +13,7 @@ from dioph.pell import (
     sqrt_cf,
     unit_sequence,
 )
+from dioph.tuples import reduce_pair
 
 NONSQUARE_D = [D for D in range(2, 200) if is_perfect_square(D) is None]
 
@@ -202,9 +205,40 @@ class TestSolveGeneral:
         }
         assert reps == {(3, 1), (-3, 1)}
 
-    def test_class_bound_validation(self):
-        with pytest.raises(ValueError):
-            solve_general(PellProblem(2, -2), class_bound=0)
+    @pytest.mark.parametrize(
+        "a,b,k,count",
+        [(7, 83, -5, 12), (21, 49, -5, 42), (1, 61, 3, 18)],
+    )
+    def test_reductions_with_huge_units_find_every_class(self, a, b, k, count):
+        # a scan of y below sqrt(|N|*(x1+1)/(2*D)) capped at 10^5 found only
+        # 8, 28 and 16 of these classes
+        red = reduce_pair(a, b, k)
+        classes = solve_general(PellProblem(red.D, red.N))
+        assert len(classes) == count
+        reps = [(c.x_sign * c.base.x, c.base.y) for c in classes]
+        assert len(set(reps)) == count
+        assert reps == sorted(reps, key=lambda r: (r[1], r[0] < 0))
+
+    def test_unfactorable_n_rejected(self):
+        # 10^12 + 39 is prime, above TRIAL_DIVISION_BOUND**2
+        assert TRIAL_DIVISION_BOUND**2 < 10**12 + 39
+        with pytest.raises(ValueError, match="cannot factor"):
+            solve_general(PellProblem(2, -(10**12 + 39)))
+
+    @given(
+        st.sampled_from(NONSQUARE_D),
+        st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_base_is_least_member_of_its_class(self, D, N):
+        # |y| along rep * unit**n falls and then rises, so no smaller |y|
+        # one unit step away means base has the least y >= 0 of its class
+        for cls in solve_general(PellProblem(D, N)):
+            back, _, forward = cls.members(1)
+            for _, v in (back, forward):
+                assert abs(v) >= cls.base.y
+                if abs(v) == cls.base.y:
+                    assert cls.x_sign == 1
 
     @given(
         st.sampled_from([D for D in range(2, 40) if is_perfect_square(D) is None]),
@@ -217,3 +251,29 @@ class TestSolveGeneral:
         for cls in solve_general(PellProblem(D, N)):
             got.update((s.x, s.y) for s in cls.nonnegative(500))
         assert got == expected
+
+
+def test_class_counts_match_sympy_diop_dn():
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    rng = random.Random(20170419)
+    # the reduction of {7, 83, 138} with k=-5 has a unit too large for a
+    # y-scan; the rest are random
+    cases = [(581, -31540)] + [
+        (rng.choice(NONSQUARE_D), rng.choice([-1, 1]) * rng.randint(1, 10**5))
+        for _ in range(20)
+    ]
+    for D, N in cases:
+        # diop_DN may list only one of a conjugate pair (x, y), (-x, y):
+        # count the distinct classes among its solutions and their mirrors
+        reps = []
+        for x, y in diophantine.diop_DN(D, N):
+            for u, v in ((x, y), (-x, y)):
+                if not any(_same_class(D, N, u, v, c, d) for c, d in reps):
+                    reps.append((u, v))
+        assert len(solve_general(PellProblem(D, N))) == len(reps), (D, N)
+
+
+def _same_class(D, N, a, b, c, d):
+    # (a + b*sqrt(D)) / (c + d*sqrt(D)) is a unit of norm one exactly when N
+    # divides both a*c - D*b*d and a*d - b*c
+    return (a * c - D * b * d) % N == 0 and (a * d - b * c) % N == 0
