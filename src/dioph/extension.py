@@ -18,6 +18,7 @@ deliberately shares no residue-set code with the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .arith import _SQUARES_MOD_256, factorize, is_perfect_square, isqrt
 from .pell import PellProblem, solve_general
@@ -59,12 +60,11 @@ class ModularCertificate:
     makes all three shifted products squares.
 
     allowed_residues maps each element t to {m mod M : t*m + k is a square
-    mod M}; intersection_empty asserts the three sets share nothing.
+    mod M}; the three sets share nothing.
     """
 
     modulus: int
     allowed_residues: dict[int, frozenset[int]]
-    intersection_empty: bool
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class SearchReport:
     def verdict(self) -> str:
         if any(c.complete for c in self.candidates):
             return VERDICT_EXTENDED
-        if self.certificate is not None and self.certificate.intersection_empty:
+        if self.certificate is not None:
             return VERDICT_CERTIFIED
         return VERDICT_BOUNDED
 
@@ -210,43 +210,80 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     decomposes over the prime powers of M, so a composite modulus certifies
     exactly when one of its prime-power parts does, and the smallest
     certifying M is always a prime power.
+
+    Squareness mod M = p^j is decided without a table: write x = p^v*u with
+    p not dividing u; x is a square mod p^j exactly when x = 0 mod p^j, or v
+    is even and u is a square mod p^(j-v).  For odd p that is Euler's
+    criterion u^((p-1)/2) = 1 mod p (Hensel lifting carries a root mod p to
+    every p^i); for p = 2 it is u = 1 mod 2^min(j-v, 3).  A modulus that
+    does not certify stops at the first residue m allowed by all three
+    elements, which costs a few modular exponentiations; only a certifying
+    modulus enumerates all M residues.  The prime powers come from a sieve
+    that grows with the scan, so memory follows the largest modulus reached,
+    not max_modulus.
     """
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
     _require_verified_triple(t)
     e1, e2, e3 = t.elements
     k = t.k
-    for M in _prime_power_moduli(max_modulus):
-        sq = bytearray(M)
-        for r in range(M // 2 + 1):
-            sq[(r * r) % M] = 1
-        a1, a2, a3 = e1 % M, e2 % M, e3 % M
-        km = k % M
+    square = _is_square_mod_prime_power
+    for p, j, M in _prime_powers(max_modulus):
         for m in range(M):
-            if sq[(a1 * m + km) % M] and sq[(a2 * m + km) % M] and sq[(a3 * m + km) % M]:
+            if (
+                square(e1 * m + k, p, j, M)
+                and square(e2 * m + k, p, j, M)
+                and square(e3 * m + k, p, j, M)
+            ):
                 break  # common residue: this modulus proves nothing
         else:
             allowed = {
-                e: frozenset(m for m in range(M) if sq[(e * m + k) % M])
+                e: frozenset(m for m in range(M) if square(e * m + k, p, j, M))
                 for e in t.elements
             }
-            return ModularCertificate(M, allowed, True)
+            return ModularCertificate(M, allowed)
     return None
 
 
-def _prime_power_moduli(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    moduli = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            for multiple in range(p * p, limit + 1, p):
-                sieve[multiple] = 0
-            q = p
-            while q <= limit:
-                moduli.append(q)
-                q *= p
-    moduli.sort()
-    return moduli
+def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
+    # q = p**j; the p-adic criterion of find_certificate's docstring
+    x %= q
+    if x == 0:
+        return True
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    if v & 1:
+        return False
+    if p == 2:
+        return x % (1 << min(j - v, 3)) == 1
+    return pow(x, (p - 1) >> 1, p) == 1
+
+
+def _prime_powers(limit: int) -> Iterator[tuple[int, int, int]]:
+    # (p, j, p**j) for every prime power p**j <= limit, ascending; the sieve
+    # starts at 64 and doubles only when the caller asks past its end, and
+    # beside it only the O(sqrt) powers p**j with j >= 2 are held
+    lo, hi = 1, min(64, limit)
+    while lo < limit:
+        sieve = bytearray([1]) * (hi + 1)
+        sieve[0] = sieve[1] = 0
+        higher = {}
+        for p in range(2, isqrt(hi) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
+                q, j = p * p, 2
+                while q <= hi:
+                    higher[q] = (p, j)
+                    q *= p
+                    j += 1
+        for q in range(lo + 1, hi + 1):
+            if sieve[q]:
+                yield q, 1, q
+            elif q in higher:
+                yield (*higher[q], q)
+        lo, hi = hi, min(2 * hi, limit)
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
@@ -273,9 +310,7 @@ def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
     common = set(range(M))
     for e in t.elements:
         common &= recomputed[e]
-    if common:
-        return False
-    return cert.intersection_empty is True
+    return not common
 
 
 def search_and_certify(

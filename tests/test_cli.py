@@ -107,6 +107,15 @@ class TestExtendCommand:
         assert "strategy brute_force, m bound 200" in out
         assert "m=120" in out
 
+    def test_huge_modulus_cap_certifies_without_allocating(self, capsys):
+        code, out, err = run(
+            capsys, "extend", "--set", "7,14,41", "--k", "2",
+            "--max-modulus", "1000000000000", "--output", "json",
+        )
+        assert code == 3
+        assert json.loads(out)["certificate"]["modulus"] == 4
+        assert "Traceback" not in err
+
     def test_non_dk_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "extend", "--set", "7,14,40", "--k", "2")
         assert code == 2

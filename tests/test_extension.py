@@ -1,10 +1,16 @@
+import random
+import tracemalloc
+
 import pytest
 
+from dioph.arith import is_perfect_square, isqrt
 from dioph.extension import (
     VERDICT_BOUNDED,
     VERDICT_CERTIFIED,
     VERDICT_EXTENDED,
     ModularCertificate,
+    _is_square_mod_prime_power,
+    _prime_powers,
     brute_force_search,
     find_certificate,
     pell_extension_search,
@@ -178,7 +184,7 @@ class TestFindCertificate:
             cert = find_certificate(t, 10**4)
             assert cert is not None
             assert cert.modulus == 4
-            assert cert.intersection_empty
+            assert verify_certificate(cert, t)
 
     def test_frozen_allowed_residues_7_14_41(self):
         cert = find_certificate(T_7_14_41, 10**4)
@@ -204,17 +210,61 @@ class TestFindCertificate:
         assert find_certificate(T_7_14_41, 3) is None
 
     def test_prime_power_scan_matches_full_scan(self):
-        cases = K2_FIXTURES + [
-            T_3_4_13,
-            T_1_3_8,
-            T_1_2_7,
-            DiophTuple((1, 5, 65), -1),
+        cases = [
+            (t, 300)
+            for t in K2_FIXTURES
+            + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
         ]
-        for t in cases:
-            ref = reference_first_certificate_modulus(t, 300)
-            cert = find_certificate(t, 300)
+        # seeded D(k) triples with elements <= 60 and 0 < |k| <= 8; the cap
+        # is lower because the reference costs about cap^3/3 steps for a
+        # triple it cannot certify, and 256 still crosses the sieve's
+        # doubling points at 64 and 128
+        pool = [
+            ((a, b, c), k)
+            for k in range(-8, 9) if k
+            for a in range(1, 61)
+            for b in range(a + 1, 61) if is_perfect_square(a * b + k) is not None
+            for c in range(b + 1, 61)
+            if is_perfect_square(a * c + k) is not None
+            and is_perfect_square(b * c + k) is not None
+        ]
+        sample = random.Random(4).sample(pool, 40)
+        assert {k > 0 for _, k in sample} == {True, False}
+        cases += [(DiophTuple(elements, k), 256) for elements, k in sample]
+        for t, cap in cases:
+            ref = reference_first_certificate_modulus(t, cap)
+            cert = find_certificate(t, cap)
             got = None if cert is None else cert.modulus
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
+
+    def test_square_test_matches_enumeration(self):
+        for p, j, q in _prime_powers(2000):
+            squares = {r * r % q for r in range(q)}
+            for x in range(-q, 2 * q):
+                assert _is_square_mod_prime_power(x, p, j, q) == (x % q in squares), (x, q)
+
+    def test_prime_powers_ascending_across_sieve_growth(self):
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        expected = [
+            (p, j, p**j)
+            for p in range(2, 1001) if is_prime(p)
+            for j in range(1, 10) if p**j <= 1000
+        ]
+        expected.sort(key=lambda e: e[2])
+        for limit in (2, 63, 64, 65, 128, 129, 1000):
+            assert list(_prime_powers(limit)) == [e for e in expected if e[2] <= limit]
+
+    def test_huge_cap_settles_small_certificate(self):
+        tracemalloc.start()
+        try:
+            cert = find_certificate(T_7_14_41, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.modulus == 4
+        assert peak < 10**6
 
     def test_certificate_is_sound_against_brute_force(self):
         # a certificate must be consistent with an empty brute-force sweep
@@ -232,14 +282,14 @@ class TestVerifyCertificate:
 
     def test_rejects_tampered_modulus(self):
         cert = find_certificate(T_7_14_41, 10**4)
-        forged = ModularCertificate(8, cert.allowed_residues, True)
+        forged = ModularCertificate(8, cert.allowed_residues)
         assert not verify_certificate(forged, T_7_14_41)
 
     def test_rejects_tampered_residue_set(self):
         cert = find_certificate(T_7_14_41, 10**4)
         residues = dict(cert.allowed_residues)
         residues[7] = residues[7] - {1}
-        forged = ModularCertificate(cert.modulus, residues, True)
+        forged = ModularCertificate(cert.modulus, residues)
         assert not verify_certificate(forged, T_7_14_41)
 
     def test_rejects_certificate_for_wrong_triple(self):
@@ -247,13 +297,17 @@ class TestVerifyCertificate:
         assert not verify_certificate(cert, T_1_3_8)
         assert not verify_certificate(cert, T_3_4_13)
 
-    def test_rejects_unasserted_intersection_flag(self):
-        cert = find_certificate(T_7_14_41, 10**4)
-        forged = ModularCertificate(cert.modulus, cert.allowed_residues, False)
-        assert not verify_certificate(forged, T_7_14_41)
+    def test_rejects_exact_sets_that_share_a_residue(self):
+        # mod 3 the allowed sets are right but share m = 1, so they prove nothing
+        residues = {
+            e: frozenset(m for m in range(3) if (e * m + 2) % 3 in {0, 1})
+            for e in T_7_14_41.elements
+        }
+        assert residues[7] & residues[14] & residues[41]
+        assert not verify_certificate(ModularCertificate(3, residues), T_7_14_41)
 
     def test_rejects_degenerate_modulus(self):
-        forged = ModularCertificate(1, {7: frozenset(), 14: frozenset(), 41: frozenset()}, True)
+        forged = ModularCertificate(1, {7: frozenset(), 14: frozenset(), 41: frozenset()})
         assert not verify_certificate(forged, T_7_14_41)
 
 
