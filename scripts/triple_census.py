@@ -13,30 +13,17 @@ import sys
 import time
 from collections import Counter
 
-from dioph.arith import isqrt
 from dioph.extension import search_and_certify
-from dioph.tuples import DiophTuple, is_regular, mod4_quadruple_obstruction
+from dioph.tuples import (
+    DiophTuple,
+    enumerate_triples,
+    is_regular,
+    mod4_quadruple_obstruction,
+)
 
 
-def dk_triples(limit, k):
-    """All D(k) triples with elements <= limit."""
-    adj = {a: set() for a in range(1, limit + 1)}
-    for a in range(1, limit + 1):
-        r = 0 if a + k < 0 else isqrt(max(a + k, 0))
-        while r * r < a + k:
-            r += 1
-        while r * r <= a * limit + k:
-            v = r * r - k
-            if v % a == 0:
-                b = v // a
-                if a < b <= limit:
-                    adj[a].add(b)
-            r += 1
-    for a in range(1, limit + 1):
-        for b in sorted(adj[a]):
-            for c in sorted(adj[a] & adj[b]):
-                if c > b:
-                    yield (a, b, c)
+# perfbench/test_perfbench.py imports the enumerator from here under this name
+dk_triples = enumerate_triples
 
 
 def main(argv=None):
@@ -67,7 +54,7 @@ def main(argv=None):
             continue
         counts = Counter()
         certified_examples = []
-        for tri in dk_triples(args.limit, k):
+        for tri in enumerate_triples(args.limit, k):
             t = DiophTuple(tri, k)
             counts["triples"] += 1
             if is_regular(t):

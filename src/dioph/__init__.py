@@ -28,6 +28,7 @@ from .tuples import (
     PairCheck,
     PairReduction,
     VerificationReport,
+    enumerate_triples,
     is_regular,
     mod4_quadruple_obstruction,
     reduce_pair,
@@ -51,6 +52,7 @@ __all__ = [
     "SearchReport",
     "VerificationReport",
     "brute_force_search",
+    "enumerate_triples",
     "find_certificate",
     "fundamental_solution",
     "is_perfect_square",

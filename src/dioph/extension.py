@@ -5,8 +5,9 @@ Two search strategies produce candidate fourth elements m:
 * ``pell_extension_search`` reduces the two smallest elements to a
   generalized Pell equation and walks its solution classes, recovering m
   from each class member and testing the remaining condition.
-* ``brute_force_search`` tests every m up to a bound directly; it is the
-  oracle the Pell route is measured against.
+* ``brute_force_search`` steps over the square roots r of a*m + k for the
+  smallest element a, up to a bound on m; it is the oracle the Pell route
+  is measured against.
 
 When no complete candidate exists, ``find_certificate`` looks for a modulus
 M at which the three allowed residue sets for m have empty intersection: a
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .arith import _SQUARES_MOD_256, factorize, is_perfect_square, isqrt
+from .arith import factorize, is_perfect_square, isqrt
 from .pell import PellProblem, solve_general
 from .tuples import ConditionWitness, DiophTuple, reduce_pair, verify
 
@@ -165,40 +166,64 @@ def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
 
 
 def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
-    """Oracle search: test every m in [1, max_m] outside t directly.
+    """Oracle search: every m in [1, max_m] outside t that extends t.
 
-    Returns the complete candidates only; the three conditions are checked
-    with exact integer square tests.
+    For the smallest element a, a*m + k = r^2 forces r^2 = k (mod a).  So
+    instead of testing every m, the search takes each residue rho in [0, a)
+    with rho^2 = k (mod a), walks r = rho, rho + a, ... up to
+    isqrt(a*max_m + k) and recovers m = (r^2 - k)/a.  That is
+    min(a, sqrt(a*max_m)) residue tests plus rho(a)*sqrt(max_m/a) square
+    tests, where rho(a) is the number of roots of r^2 = k (mod a).  When
+    a > max_m, sqrt(a*max_m) exceeds max_m, so each m is tested directly
+    instead: a huge element never costs more than max_m square tests.
+
+    b*m + k and then c*m + k are checked with exact integer square tests.
+    Returns the complete candidates only, ascending in m; an element of t
+    that meets the a- and b-conditions is reported in self_hits.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     _require_verified_triple(t)
     a, b, c = t.elements
     k = t.k
-    sq = _SQUARES_MOD_256
     found = []
     hits = []
-    va = a + k  # a*m + k, stepped incrementally
-    for m in range(1, max_m + 1):
-        if va >= 0 and sq[va & 255]:
-            ra = isqrt(va)
-            if ra * ra == va:
-                rb = is_perfect_square(b * m + k)
-                if rb is not None:
-                    if m in t.elements:
-                        # same diagnostic the pair-reduction strategy emits
-                        hits.append(m)
-                    else:
-                        rc = is_perfect_square(c * m + k)
-                        if rc is not None:
-                            witnesses = (
-                                ConditionWitness(a, m, ra),
-                                ConditionWitness(b, m, rb),
-                                ConditionWitness(c, m, rc),
-                            )
-                            found.append(ExtensionCandidate(m, witnesses, True))
-        va += a
-    return SearchReport(t, "brute_force", max_m, tuple(found), tuple(hits))
+    for m, ra in _square_points(a, k, max_m):
+        rb = is_perfect_square(b * m + k)
+        if rb is None:
+            continue
+        if m in t.elements:
+            # same diagnostic the pair-reduction strategy emits
+            hits.append(m)
+            continue
+        rc = is_perfect_square(c * m + k)
+        if rc is not None:
+            witnesses = (
+                ConditionWitness(a, m, ra),
+                ConditionWitness(b, m, rb),
+                ConditionWitness(c, m, rc),
+            )
+            found.append(ExtensionCandidate(m, witnesses, True))
+    found.sort(key=lambda cand: cand.m)
+    return SearchReport(t, "brute_force", max_m, tuple(found), tuple(sorted(hits)))
+
+
+def _square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
+    # every (m, r) with 1 <= m <= max_m and a*m + k = r*r, in no set order
+    if a > max_m:
+        for m in range(1, max_m + 1):
+            r = is_perfect_square(a * m + k)
+            if r is not None:
+                yield m, r
+        return
+    top = a * max_m + k
+    rmax = isqrt(top) if top >= 0 else -1
+    for rho in range(min(a, rmax + 1)):
+        if (rho * rho - k) % a == 0:
+            for r in range(rho, rmax + 1, a):
+                m = (r * r - k) // a
+                if m >= 1:
+                    yield m, r
 
 
 def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:

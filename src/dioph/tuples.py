@@ -2,15 +2,16 @@
 
 A D(k) set is a set of distinct positive integers such that the product of
 any two elements plus k is a perfect square.  This module verifies the
-property, classifies triples as regular or not, reduces a pair condition to
-a generalized Pell equation, and evaluates residue obstructions.
+property, enumerates the triples below a bound, classifies triples as
+regular or not, reduces a pair condition to a generalized Pell equation, and
+evaluates residue obstructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_perfect_square, legendre
+from .arith import is_perfect_square, isqrt, legendre
 
 __all__ = [
     "DiophTuple",
@@ -19,6 +20,7 @@ __all__ = [
     "PairReduction",
     "ConditionWitness",
     "verify",
+    "enumerate_triples",
     "is_regular",
     "reduce_pair",
     "residue_obstruction",
@@ -96,6 +98,36 @@ def verify(t: DiophTuple) -> VerificationReport:
             shifted = product + t.k
             checks.append(PairCheck(a, b, product, shifted, is_perfect_square(shifted)))
     return VerificationReport(t, tuple(checks))
+
+
+def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
+    """Every D(k) triple (a, b, c) with a < b < c <= limit, in ascending
+    lexicographic order.
+
+    The partners b > a of each a are found by stepping over the square roots
+    r of a*b + k, not over every b; a triple is a partner b of a together
+    with a common partner c > b of a and b.
+    """
+    if k == 0:
+        raise ValueError("the shift k must be nonzero")
+    partners: dict[int, set[int]] = {}
+    for a in range(1, limit + 1):
+        partners[a] = set()
+        r = 0 if a + k < 0 else isqrt(a + k)
+        if r * r < a + k:
+            r += 1
+        while r * r <= a * limit + k:
+            v = r * r - k
+            if v % a == 0 and a < v // a <= limit:
+                partners[a].add(v // a)
+            r += 1
+    return [
+        (a, b, c)
+        for a in range(1, limit + 1)
+        for b in sorted(partners[a])
+        for c in sorted(partners[a] & partners[b])
+        if c > b
+    ]
 
 
 def is_regular(t: DiophTuple) -> bool:

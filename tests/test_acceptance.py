@@ -21,6 +21,7 @@ from dioph.extension import (
 from dioph.pell import PellProblem, fundamental_solution, solve_general, unit_sequence
 from dioph.tuples import (
     DiophTuple,
+    enumerate_triples,
     is_regular,
     mod4_quadruple_obstruction,
     residue_obstruction,
@@ -192,36 +193,13 @@ def test_criterion_7_residue_obstructions(capsys):
                 assert is_perfect_square(t * s + 2) is None
 
 
-def dk_triples(limit, k):
-    """All D(k) triples with elements <= limit, by square-root iteration."""
-    adj = {a: set() for a in range(1, limit + 1)}
-    for a in range(1, limit + 1):
-        r = 0 if a + k < 0 else isqrt(max(a + k, 0))
-        while r * r < a + k:
-            r += 1
-        while r * r <= a * limit + k:
-            v = r * r - k
-            if v % a == 0:
-                b = v // a
-                if a < b <= limit:
-                    adj[a].add(b)
-            r += 1
-    triples = []
-    for a in range(1, limit + 1):
-        for b in sorted(adj[a]):
-            for c in sorted(adj[a] & adj[b]):
-                if c > b:
-                    triples.append((a, b, c))
-    return triples
-
-
 def test_criterion_8_randomized_strategy_agreement(capsys):
     with criterion(capsys, 8, "randomized search-strategy agreement"):
         pool = []
         for k in range(-10, 11):
             if k == 0:
                 continue
-            for tri in dk_triples(500, k):
+            for tri in enumerate_triples(500, k):
                 pool.append((tri, k))
         assert len(pool) == 4643
         rng = random.Random(20260814)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -115,6 +116,19 @@ class TestExtendCommand:
         assert code == 3
         assert json.loads(out)["certificate"]["modulus"] == 4
         assert "Traceback" not in err
+
+    def test_brute_strategy_huge_m_bound_walks_roots(self, capsys):
+        # 10^10 m values, but only the roots of 7*m + 2 below 264576
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "extend", "--set", "7,14,41", "--k", "2",
+            "--strategy", "brute", "--max-m", "10000000000", "--output", "json",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert json.loads(out)["certificate"]["modulus"] == 4
+        assert "Traceback" not in err
+        assert elapsed < 10.0, f"extend took {elapsed:.2f}s"
 
     def test_non_dk_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "extend", "--set", "7,14,40", "--k", "2")

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -8,7 +9,9 @@ from dioph.extension import (
     VERDICT_BOUNDED,
     VERDICT_CERTIFIED,
     VERDICT_EXTENDED,
+    ExtensionCandidate,
     ModularCertificate,
+    SearchReport,
     _is_square_mod_prime_power,
     _prime_powers,
     brute_force_search,
@@ -17,7 +20,7 @@ from dioph.extension import (
     search_and_certify,
     verify_certificate,
 )
-from dioph.tuples import DiophTuple, verify
+from dioph.tuples import ConditionWitness, DiophTuple, enumerate_triples, verify
 
 T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
@@ -44,6 +47,30 @@ def reference_first_certificate_modulus(t, max_modulus):
         if not (sets[0] & sets[1] & sets[2]):
             return M
     return None
+
+
+def reference_brute_force(t, max_m):
+    """Test every m in [1, max_m] in turn, as brute_force_search once did."""
+    a, b, c = t.elements
+    found = []
+    hits = []
+    for m in range(1, max_m + 1):
+        ra = is_perfect_square(a * m + t.k)
+        rb = is_perfect_square(b * m + t.k)
+        if ra is None or rb is None:
+            continue
+        if m in t.elements:
+            hits.append(m)
+            continue
+        rc = is_perfect_square(c * m + t.k)
+        if rc is not None:
+            witnesses = (
+                ConditionWitness(a, m, ra),
+                ConditionWitness(b, m, rb),
+                ConditionWitness(c, m, rc),
+            )
+            found.append(ExtensionCandidate(m, witnesses, True))
+    return SearchReport(t, "brute_force", max_m, tuple(found), tuple(hits))
 
 
 class TestPellExtensionSearch:
@@ -170,6 +197,54 @@ class TestBruteForceSearch:
                 if c.complete and c.m <= 10**5
             }
             assert brute == pell
+
+    def test_matches_per_m_reference(self):
+        cases = [
+            (DiophTuple((1, 3, 4), -3), 1),  # a*max_m + k < 0
+            (DiophTuple((1, 3, 4), -3), 50),  # a + k < 0
+            (DiophTuple((5, 10, 25), -25), 5),  # residue loop cut to r = 0
+            # a <= max_m but a*max_m + k < 0; r = 0 would give self-hit 9
+            (DiophTuple((8, 9, 17), -72), 8),
+            (DiophTuple((4, 8, 10), -31), 8),  # cut short though a <= max_m
+            (DiophTuple((41, 239, 478), 2), 7),  # a > max_m: every m tested
+            (T_7_14_41, 1),
+            (T_1_3_8, 120),  # a*max_m + k = 11^2: the bound is inclusive
+            (T_1_3_8, 119),
+            # self-hits (4, 19): a is one, and the walk meets 19 first
+            (DiophTuple((4, 7, 19), -12), 100),
+            (DiophTuple((2, 5, 9), -9), 100),  # self-hits (5, 9): b is one
+            # extensions 45 and 69, the walk meets 69 first
+            (DiophTuple((5, 13, 24), -56), 100),
+        ]
+        pool = [
+            (elements, k)
+            for k in range(-8, 9) if k
+            for elements in enumerate_triples(60, k)
+        ]
+        sample = random.Random(11).sample(pool, 40)
+        assert {k > 0 for _, k in sample} == {True, False}
+        cases += [
+            (DiophTuple(elements, k), max_m)
+            for elements, k in sample
+            for max_m in (1, 7, 300, 20000)
+        ]
+        assert brute_force_search(DiophTuple((4, 7, 19), -12), 100).self_hits == (4, 19)
+        assert brute_force_search(DiophTuple((2, 5, 9), -9), 100).self_hits == (5, 9)
+        report = brute_force_search(DiophTuple((5, 13, 24), -56), 100)
+        assert [c.m for c in report.candidates] == [45, 69]
+        for t, max_m in cases:
+            assert brute_force_search(t, max_m) == reference_brute_force(t, max_m), (t, max_m)
+
+    def test_huge_smallest_element_costs_at_most_max_m(self):
+        # a*(a+2) + 1, a*(4a+4) + 1 and (a+2)*(4a+4) + 1 are squares; the
+        # roots of a*m + 1 up to m = 10^4 run past 10^8, the m only to 10^4
+        a = 10**12
+        t = DiophTuple((a, a + 2, 4 * a + 4), 1)
+        start = time.perf_counter()
+        report = brute_force_search(t, 10**4)
+        elapsed = time.perf_counter() - start
+        assert report == reference_brute_force(t, 10**4)
+        assert elapsed < 2.0, f"search took {elapsed:.2f}s"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dioph.arith import is_perfect_square
 from dioph.tuples import (
     DiophTuple,
+    enumerate_triples,
     is_regular,
     mod4_quadruple_obstruction,
     reduce_pair,
@@ -111,6 +112,26 @@ class TestVerify:
             for a, b in itertools.combinations(t.elements, 2)
         )
         assert verify(t).ok == expected
+
+
+class TestEnumerateTriples:
+    def test_matches_exhaustive_search(self):
+        for k in [-7, -3, -1, 1, 2, 4, 8]:
+            expected = [
+                (a, b, c)
+                for a, b, c in itertools.combinations(range(1, 41), 3)
+                if verify(DiophTuple((a, b, c), k)).ok
+            ]
+            assert enumerate_triples(40, k) == expected, k
+
+    def test_limit_is_inclusive(self):
+        assert (1, 3, 8) in enumerate_triples(8, 1)
+        assert (1, 3, 8) not in enumerate_triples(7, 1)
+        assert enumerate_triples(2, 1) == []
+
+    def test_zero_shift_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_triples(10, 0)
 
 
 class TestIsRegular:
