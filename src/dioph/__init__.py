@@ -1,7 +1,7 @@
 """Diophantine tuples with a shift k: exact verification, Pell-equation
 reductions, extension search, and modular non-extendability certificates."""
 
-from .arith import is_perfect_square, isqrt, legendre, mod_pow
+from .arith import is_perfect_square, legendre
 from .extension import (
     ExtensionCandidate,
     ModularCertificate,
@@ -57,10 +57,8 @@ __all__ = [
     "fundamental_solution",
     "is_perfect_square",
     "is_regular",
-    "isqrt",
     "legendre",
     "mod4_quadruple_obstruction",
-    "mod_pow",
     "pell_extension_search",
     "reduce_pair",
     "residue_obstruction",

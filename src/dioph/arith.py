@@ -1,4 +1,4 @@
-"""Exact integer primitives: square roots, perfect-square tests, Legendre symbol.
+"""Exact integer primitives: perfect-square tests, Legendre symbol, factorisation.
 
 Everything here is plain arbitrary-precision integer arithmetic; nothing
 returns a float.
@@ -8,9 +8,7 @@ import math
 
 __all__ = [
     "TRIAL_DIVISION_BOUND",
-    "isqrt",
     "is_perfect_square",
-    "mod_pow",
     "legendre",
     "factorize",
 ]
@@ -25,13 +23,6 @@ for _r in range(128):
 del _r
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root: the unique r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError(f"isqrt undefined for negative input {n}")
-    return math.isqrt(n)
-
-
 def is_perfect_square(n: int) -> int | None:
     """The nonnegative square root of n, or None when n is not a perfect square.
 
@@ -43,25 +34,16 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp reduced into [0, modulus)."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def legendre(a: int, p: int, *, assume_prime: bool = False) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
 
     Returns 0 when p divides a, +1 when a is a nonzero quadratic residue
     mod p, and -1 otherwise.  a may be negative; it is reduced mod p first.
 
-    p is validated by trial division up to TRIAL_DIVISION_BOUND.  Larger p
-    cannot be verified that way and is rejected unless the caller passes
-    assume_prime=True; even then, a composite p is still reported whenever
-    the criterion produces a value outside {1, p-1}.
+    p is validated by factorize.  A p it cannot factor (one that leaves a
+    cofactor above TRIAL_DIVISION_BOUND**2) is rejected unless the caller
+    passes assume_prime=True; even then, a composite p is still reported
+    whenever the criterion produces a value outside {1, p-1}.
     """
     _check_odd_prime(p, assume_prime)
     a %= p
@@ -110,13 +92,12 @@ def _check_odd_prime(p: int, assume_prime: bool) -> None:
         raise ValueError(f"{p} is not an odd prime")
     if assume_prime:
         return
-    d = 3
-    while d * d <= p and d <= TRIAL_DIVISION_BOUND:
-        if p % d == 0:
-            raise ValueError(f"{p} is composite ({d} divides it)")
-        d += 2
-    if d * d <= p:
+    try:
+        factors = factorize(p)
+    except ValueError:
         raise ValueError(
             f"cannot verify primality of {p} by trial division up to "
             f"{TRIAL_DIVISION_BOUND}; pass assume_prime=True to assert it"
-        )
+        ) from None
+    if factors != [(p, 1)]:
+        raise ValueError(f"{p} is composite ({factors[0][0]} divides it)")

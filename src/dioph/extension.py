@@ -11,7 +11,9 @@ Two search strategies produce candidate fourth elements m:
 
 When no complete candidate exists, ``find_certificate`` looks for a modulus
 M at which the three allowed residue sets for m have empty intersection: a
-finite, machine-checkable proof that no extension exists at all.
+finite, machine-checkable proof that no extension exists at all.  It tries
+only the prime powers that can certify: powers of 2, of the odd primes
+below 29 and of the odd primes dividing both k and an element.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
 deliberately shares no residue-set code with the finder.
 """
@@ -19,9 +21,10 @@ deliberately shares no residue-set code with the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import gcd, isqrt
 from typing import Iterator
 
-from .arith import factorize, is_perfect_square, isqrt
+from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
 from .tuples import ConditionWitness, DiophTuple, reduce_pair, verify
 
@@ -103,7 +106,9 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
 
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
     k*b*(b-a); every solution class (solve_general finds them all) is walked
-    max_index unit-multiplications in both directions.  Each member yields
+    max_index unit-multiplications in both directions, a class and its
+    mirror (the same base with the opposite x_sign) once for both, since
+    they give the same (|X|, |Y|) over that range.  Each member yields
     m = (x^2 - k)/a when integral; m <= 0 is discarded, m equal to an
     existing element is reported as a self-hit, and every other m becomes a
     candidate whose third condition c*m + k is then tested.
@@ -122,7 +127,13 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     if is_perfect_square(red.D) is not None:
         solutions = _square_discriminant_solutions(red.D, red.N)
     else:
-        for cls in solve_general(PellProblem(red.D, red.N)):
+        classes = solve_general(PellProblem(red.D, red.N))
+        # The mirror of a class (same base, x_sign -1) holds at index -n the
+        # negated conjugate of its member at index n: the same (|X|, |Y|).
+        mirrored = {cls.base for cls in classes if cls.x_sign == 1}
+        for cls in classes:
+            if cls.x_sign == -1 and cls.base in mirrored:
+                continue
             for u, v in cls.members(max_index):
                 solutions.append((abs(u), abs(v)))
     found: dict[int, ExtensionCandidate] = {}
@@ -229,12 +240,38 @@ def _square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
 def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     """Smallest modulus M <= max_modulus certifying t non-extendable, if any.
 
-    For each element t_i the allowed residues are {m mod M : t_i*m + k is a
+    For each element e the allowed residues are {m mod M : e*m + k is a
     square mod M}; an empty three-way intersection proves no integer m can
-    extend the triple.  Only prime-power M are examined: squareness mod M
-    decomposes over the prime powers of M, so a composite modulus certifies
-    exactly when one of its prime-power parts does, and the smallest
-    certifying M is always a prime power.
+    extend the triple.  Squareness mod M decomposes over the prime powers of
+    M, so a composite modulus certifies exactly when one of its prime-power
+    parts does, and the smallest certifying M is always a prime power.
+
+    Only the powers of 2, of the odd primes below 29 and of the odd primes
+    dividing both k and an element are tried: no power of any other prime p
+    can certify.  For such p it is enough to find one m with every e*m + k a
+    nonzero square mod p, since a unit square mod p stays a square mod every
+    p^j (Hensel), so m is allowed by all three elements mod p^j.  Let chi be
+    the Legendre symbol mod p.
+
+    * p divides k but no element.  Each e*e' + k = e*e' (mod p) is a nonzero
+      square, so chi takes one value on all three elements, and any m with
+      chi(m) = chi(e1) makes every e*m + k = e*m a nonzero square.
+    * p >= 29 does not divide k.  An element with p | e has e*m + k = k for
+      every m, and chi(k) = 1 because e*e' + k = k (mod p) is a square; it
+      imposes nothing.  Coinciding residues impose one condition between
+      them.  For the r <= 3 distinct nonzero residues e left, 2^r times the
+      number of good m is the sum of prod(1 + chi(e*m + k)) over the m that
+      are no root -k/e.  Over all m the linear sums vanish, each
+      sum chi((e*m + k)(e'*m + k)) is -chi(e*e') (the roots differ), and the
+      cubic sum is at most 2*sqrt(p) in size (Hasse); each of the r roots
+      adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
+      r = 3, which is positive for p > 25, and 4*count >= p - 5 for r = 2;
+      r <= 1 needs one m with e*m + k = 1, or none.
+
+    The odd primes dividing k and an element are those of
+    gcd(k, e1*e2*e3), factored with dioph.arith.factorize; it divides k,
+    which the Pell walk factors anyway, and it raises ValueError the same
+    way on a cofactor above TRIAL_DIVISION_BOUND**2.
 
     Squareness mod M = p^j is decided without a table: write x = p^v*u with
     p not dividing u; x is a square mod p^j exactly when x = 0 mod p^j, or v
@@ -243,9 +280,7 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     every p^i); for p = 2 it is u = 1 mod 2^min(j-v, 3).  A modulus that
     does not certify stops at the first residue m allowed by all three
     elements, which costs a few modular exponentiations; only a certifying
-    modulus enumerates all M residues.  The prime powers come from a sieve
-    that grows with the scan, so memory follows the largest modulus reached,
-    not max_modulus.
+    modulus enumerates all M residues.
     """
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
@@ -253,7 +288,7 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     e1, e2, e3 = t.elements
     k = t.k
     square = _is_square_mod_prime_power
-    for p, j, M in _prime_powers(max_modulus):
+    for p, j, M in _certifying_prime_powers(t, max_modulus):
         for m in range(M):
             if (
                 square(e1 * m + k, p, j, M)
@@ -286,29 +321,24 @@ def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
     return pow(x, (p - 1) >> 1, p) == 1
 
 
-def _prime_powers(limit: int) -> Iterator[tuple[int, int, int]]:
-    # (p, j, p**j) for every prime power p**j <= limit, ascending; the sieve
-    # starts at 64 and doubles only when the caller asks past its end, and
-    # beside it only the O(sqrt) powers p**j with j >= 2 are held
-    lo, hi = 1, min(64, limit)
-    while lo < limit:
-        sieve = bytearray([1]) * (hi + 1)
-        sieve[0] = sieve[1] = 0
-        higher = {}
-        for p in range(2, isqrt(hi) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
-                q, j = p * p, 2
-                while q <= hi:
-                    higher[q] = (p, j)
-                    q *= p
-                    j += 1
-        for q in range(lo + 1, hi + 1):
-            if sieve[q]:
-                yield q, 1, q
-            elif q in higher:
-                yield (*higher[q], q)
-        lo, hi = hi, min(2 * hi, limit)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _certifying_prime_powers(t: DiophTuple, limit: int) -> list[tuple[int, int, int]]:
+    # (p, j, p**j) ascending, for every p**j <= limit with p one of the
+    # primes find_certificate's docstring has to try
+    e1, e2, e3 = t.elements
+    primes = set(_SMALL_PRIMES)
+    primes.update(p for p, _ in factorize(gcd(t.k, e1 * e2 * e3)))
+    powers = []
+    for p in primes:
+        q, j = p, 1
+        while q <= limit:
+            powers.append((p, j, q))
+            q *= p
+            j += 1
+    powers.sort(key=lambda power: power[2])
+    return powers
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 from typing import Iterator
 
-from .arith import factorize, is_perfect_square, isqrt
+from .arith import factorize, is_perfect_square
 
 __all__ = [
     "CFExpansion",

@@ -10,8 +10,9 @@ evaluates residue obstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .arith import is_perfect_square, isqrt, legendre
+from .arith import is_perfect_square, legendre
 
 __all__ = [
     "DiophTuple",
@@ -167,8 +168,6 @@ class PairReduction:
     k: int
     D: int
     N: int
-    x_role: str = "b * sqrt(a*m + k)"
-    y_role: str = "sqrt(b*m + k)"
 
     def witness_xy(self, root_a: int, root_b: int) -> tuple[int, int]:
         """Map the square roots of (a*m + k, b*m + k) to a solution (X, Y)."""

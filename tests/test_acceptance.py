@@ -10,8 +10,9 @@ import random
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from math import isqrt
 
-from dioph.arith import is_perfect_square, isqrt
+from dioph.arith import is_perfect_square
 from dioph.extension import (
     brute_force_search,
     find_certificate,

@@ -1,14 +1,9 @@
-import pytest
-from hypothesis import example, given, strategies as st
+from math import isqrt
 
-from dioph.arith import (
-    TRIAL_DIVISION_BOUND,
-    factorize,
-    is_perfect_square,
-    isqrt,
-    legendre,
-    mod_pow,
-)
+import pytest
+from hypothesis import given, strategies as st
+
+from dioph.arith import TRIAL_DIVISION_BOUND, factorize, is_perfect_square, legendre
 
 
 def small_primes(limit):
@@ -21,28 +16,6 @@ def small_primes(limit):
 
 
 ODD_PRIMES = [p for p in small_primes(1000) if p > 2]
-
-
-class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(0) == 0
-        assert isqrt(1) == 1
-        assert isqrt(576) == 24
-        assert isqrt(9799) == 98
-        assert isqrt(10**18) == 10**9
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-    @given(st.integers(min_value=0, max_value=10**40))
-    @example(0)
-    @example(1)
-    @example(2)
-    @example(10**40)
-    def test_bracketing(self, n):
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 class TestIsPerfectSquare:
@@ -64,30 +37,6 @@ class TestIsPerfectSquare:
         r = isqrt(n)
         expected = r if r * r == n else None
         assert is_perfect_square(n) == expected
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(3, 0, 7) == 1
-        assert mod_pow(5, 100, 1) == 0
-        assert mod_pow(-1, 3, 7) == 6
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, -5)
-
-    @given(
-        st.integers(min_value=-(10**9), max_value=10**9),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=1, max_value=10**6),
-    )
-    def test_matches_exact_power(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus) == (base**exp) % modulus
 
 
 class TestFactorize:
@@ -151,6 +100,15 @@ class TestLegendre:
         for bad in (9, 15, 21, 91, 561):
             with pytest.raises(ValueError):
                 legendre(1, bad)
+
+    def test_composite_modulus_names_its_least_factor(self):
+        with pytest.raises(ValueError, match=r"91 is composite \(7 divides it\)"):
+            legendre(1, 91)
+
+    def test_unfactorable_modulus_is_unverified_even_with_a_small_factor(self):
+        # 3 * (10^12 + 39) leaves a cofactor factorize cannot split
+        with pytest.raises(ValueError, match="cannot verify primality"):
+            legendre(1, 3 * (10**12 + 39))
 
     def test_large_modulus_within_trial_division_reach(self):
         # sqrt(1e9+7) ~ 31623, well under the division bound: no flag needed

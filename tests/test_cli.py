@@ -117,6 +117,20 @@ class TestExtendCommand:
         assert json.loads(out)["certificate"]["modulus"] == 4
         assert "Traceback" not in err
 
+    def test_huge_modulus_cap_without_certificate_stays_bounded(self, capsys):
+        # only the powers of 2 and of the odd primes below 29 can certify
+        # {2, 6, 14} with k = -3, so a cap of 10^12 costs a few hundred moduli
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "extend", "--set", "2,6,14", "--k", "-3",
+            "--max-modulus", "1000000000000", "--output", "json",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 4
+        assert json.loads(out)["certificate"] is None
+        assert "Traceback" not in err
+        assert elapsed < 5.0, f"extend took {elapsed:.2f}s"
+
     def test_brute_strategy_huge_m_bound_walks_roots(self, capsys):
         # 10^10 m values, but only the roots of 7*m + 2 below 264576
         start = time.perf_counter()

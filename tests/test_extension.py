@@ -1,10 +1,11 @@
 import random
 import time
 import tracemalloc
+from math import isqrt
 
 import pytest
 
-from dioph.arith import is_perfect_square, isqrt
+from dioph.arith import is_perfect_square
 from dioph.extension import (
     VERDICT_BOUNDED,
     VERDICT_CERTIFIED,
@@ -12,15 +13,23 @@ from dioph.extension import (
     ExtensionCandidate,
     ModularCertificate,
     SearchReport,
+    _certifying_prime_powers,
     _is_square_mod_prime_power,
-    _prime_powers,
+    _square_discriminant_solutions,
     brute_force_search,
     find_certificate,
     pell_extension_search,
     search_and_certify,
     verify_certificate,
 )
-from dioph.tuples import ConditionWitness, DiophTuple, enumerate_triples, verify
+from dioph.pell import PellProblem, solve_general
+from dioph.tuples import (
+    ConditionWitness,
+    DiophTuple,
+    enumerate_triples,
+    reduce_pair,
+    verify,
+)
 
 T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
@@ -47,6 +56,50 @@ def reference_first_certificate_modulus(t, max_modulus):
         if not (sets[0] & sets[1] & sets[2]):
             return M
     return None
+
+
+def reference_pell_walk(t, max_index):
+    """Walk every Pell class, mirrors included, as pell_extension_search once did."""
+    a, b, c = t.elements
+    red = reduce_pair(a, b, t.k)
+    if is_perfect_square(red.D) is not None:
+        solutions = _square_discriminant_solutions(red.D, red.N)
+    else:
+        solutions = [
+            (abs(u), abs(v))
+            for cls in solve_general(PellProblem(red.D, red.N))
+            for u, v in cls.members(max_index)
+        ]
+    found = {}
+    hits = set()
+    for X, Y in solutions:
+        m = red.recover_m(X, Y)
+        if m is None or m <= 0:
+            continue
+        if m in t.elements:
+            hits.add(m)
+            continue
+        if m in found:
+            continue
+        witnesses = [ConditionWitness(a, m, X // b), ConditionWitness(b, m, Y)]
+        root_c = is_perfect_square(c * m + t.k)
+        if root_c is not None:
+            witnesses.append(ConditionWitness(c, m, root_c))
+        found[m] = ExtensionCandidate(m, tuple(witnesses), root_c is not None)
+    candidates = tuple(found[m] for m in sorted(found))
+    return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
+
+
+def small_dk_triples(seed, count):
+    """count seeded D(k) triples with elements <= 60 and 0 < |k| <= 8."""
+    pool = [
+        (elements, k)
+        for k in range(-8, 9) if k
+        for elements in enumerate_triples(60, k)
+    ]
+    sample = random.Random(seed).sample(pool, count)
+    assert {k > 0 for _, k in sample} == {True, False}
+    return [DiophTuple(elements, k) for elements, k in sample]
 
 
 def reference_brute_force(t, max_m):
@@ -173,6 +226,27 @@ class TestPellExtensionSearch:
             assert ms == sorted(set(ms))
             assert all(m >= 1 for m in ms)
 
+    @pytest.mark.parametrize("index", [0, 1, 15])
+    def test_matches_walk_over_every_class(self, index):
+        cases = K2_FIXTURES + [
+            T_1_3_8,
+            T_3_4_13,
+            T_1_2_7,
+            DiophTuple((1, 4, 11), 5),
+            DiophTuple((7, 83, 138), -5),
+            DiophTuple((1, 61, 78), 3),
+        ]
+        cases += small_dk_triples(6, 40)
+        mirrored = 0
+        for t in cases:
+            red = reduce_pair(t.elements[0], t.elements[1], t.k)
+            if is_perfect_square(red.D) is None:
+                classes = solve_general(PellProblem(red.D, red.N))
+                plus = {cls.base for cls in classes if cls.x_sign == 1}
+                mirrored += sum(cls.x_sign == -1 and cls.base in plus for cls in classes)
+            assert pell_extension_search(t, index) == reference_pell_walk(t, index), t
+        assert mirrored > 0  # the walk really had mirror classes to skip
+
 
 class TestBruteForceSearch:
     def test_finds_known_extension(self):
@@ -216,17 +290,8 @@ class TestBruteForceSearch:
             # extensions 45 and 69, the walk meets 69 first
             (DiophTuple((5, 13, 24), -56), 100),
         ]
-        pool = [
-            (elements, k)
-            for k in range(-8, 9) if k
-            for elements in enumerate_triples(60, k)
-        ]
-        sample = random.Random(11).sample(pool, 40)
-        assert {k > 0 for _, k in sample} == {True, False}
         cases += [
-            (DiophTuple(elements, k), max_m)
-            for elements, k in sample
-            for max_m in (1, 7, 300, 20000)
+            (t, max_m) for t in small_dk_triples(11, 40) for max_m in (1, 7, 300, 20000)
         ]
         assert brute_force_search(DiophTuple((4, 7, 19), -12), 100).self_hits == (4, 19)
         assert brute_force_search(DiophTuple((2, 5, 9), -9), 100).self_hits == (5, 9)
@@ -290,22 +355,11 @@ class TestFindCertificate:
             for t in K2_FIXTURES
             + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
         ]
-        # seeded D(k) triples with elements <= 60 and 0 < |k| <= 8; the cap
-        # is lower because the reference costs about cap^3/3 steps for a
-        # triple it cannot certify, and 256 still crosses the sieve's
-        # doubling points at 64 and 128
-        pool = [
-            ((a, b, c), k)
-            for k in range(-8, 9) if k
-            for a in range(1, 61)
-            for b in range(a + 1, 61) if is_perfect_square(a * b + k) is not None
-            for c in range(b + 1, 61)
-            if is_perfect_square(a * c + k) is not None
-            and is_perfect_square(b * c + k) is not None
-        ]
-        sample = random.Random(4).sample(pool, 40)
-        assert {k > 0 for _, k in sample} == {True, False}
-        cases += [(DiophTuple(elements, k), 256) for elements, k in sample]
+        # the cap is lower for the seeded triples because the reference
+        # costs about cap^3/3 steps for a triple it cannot certify; 256
+        # still runs well past 29, above which the scan skips every odd
+        # prime that does not divide both k and an element
+        cases += [(t, 256) for t in small_dk_triples(4, 40)]
         for t, cap in cases:
             ref = reference_first_certificate_modulus(t, cap)
             cert = find_certificate(t, cap)
@@ -313,23 +367,58 @@ class TestFindCertificate:
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
     def test_square_test_matches_enumeration(self):
-        for p, j, q in _prime_powers(2000):
-            squares = {r * r % q for r in range(q)}
-            for x in range(-q, 2 * q):
-                assert _is_square_mod_prime_power(x, p, j, q) == (x % q in squares), (x, q)
+        for p in range(2, 2001):
+            if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+                continue
+            q, j = p, 1
+            while q <= 2000:
+                squares = {r * r % q for r in range(q)}
+                for x in range(-q, 2 * q):
+                    assert _is_square_mod_prime_power(x, p, j, q) == (x % q in squares), (x, q)
+                q, j = q * p, j + 1
 
-    def test_prime_powers_ascending_across_sieve_growth(self):
-        def is_prime(n):
-            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    def test_every_prime_from_29_leaves_a_common_square(self):
+        # the character-sum case of find_certificate's docstring, exhaustively:
+        # scaling m makes e1 = 1, scaling by a square makes k = 1 or the least
+        # non-residue, and p | e in a D(k) triple forces k to be a residue
+        def common_square(p, k, elements, squares):
+            return any(all((e * m + k) % p in squares for e in elements) for m in range(p))
 
-        expected = [
-            (p, j, p**j)
-            for p in range(2, 1001) if is_prime(p)
-            for j in range(1, 10) if p**j <= 1000
+        for p in range(29, 114):
+            if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+                continue
+            squares = {r * r % p for r in range(1, p)}
+            non_residue = min(set(range(1, p)) - squares)
+            for k in (1, non_residue):
+                lowest = 0 if k == 1 else 1
+                for e2 in range(lowest, p):
+                    for e3 in range(e2, p):
+                        assert common_square(p, k, (1, e2, e3), squares), (p, k, e2, e3)
+        # below 29 the count can fail: mod 17 nothing serves 1, 4, 15 with k = 3
+        assert not common_square(17, 3, (1, 4, 15), {r * r % 17 for r in range(1, 17)})
+
+    def test_scan_adds_the_odd_primes_dividing_k_and_an_element(self):
+        def powers(primes, limit):
+            found = [(p, j, p**j) for p in primes for j in range(1, 11) if p**j <= limit]
+            return sorted(found, key=lambda power: power[2])
+
+        small = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        cases = [
+            (DiophTuple((1, 31, 32), -31), [31]),
+            (DiophTuple((1, 5, 18), 31), []),  # 31 divides k but no element
+            (DiophTuple((6, 319, 383), -29 * 37), [29]),  # 319 = 11*29; 37 divides none
+            (T_7_14_41, []),
         ]
-        expected.sort(key=lambda e: e[2])
-        for limit in (2, 63, 64, 65, 128, 129, 1000):
-            assert list(_prime_powers(limit)) == [e for e in expected if e[2] <= limit]
+        for t, extra in cases:
+            for limit in (2, 28, 31, 1000):
+                assert _certifying_prime_powers(t, limit) == powers(small + extra, limit), t
+
+    def test_uncertifiable_triple_scans_a_huge_cap_quickly(self):
+        start = time.perf_counter()
+        cert = find_certificate(DiophTuple((2, 6, 14), -3), 10**9)
+        elapsed = time.perf_counter() - start
+        assert cert is None
+        assert elapsed < 0.5, f"scan took {elapsed:.2f}s"
 
     def test_huge_cap_settles_small_certificate(self):
         tracemalloc.start()

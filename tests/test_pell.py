@@ -1,9 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.arith import TRIAL_DIVISION_BOUND, is_perfect_square, isqrt
+from dioph.arith import TRIAL_DIVISION_BOUND, is_perfect_square
 from dioph.pell import (
     PellClass,
     PellProblem,

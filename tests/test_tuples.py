@@ -214,10 +214,6 @@ class TestReducePair:
         assert red.recover_m(42, 5) is None
         assert red.recover_m(42, 4) == 1
 
-    def test_roles_describe_the_substitution(self):
-        red = reduce_pair(7, 14, 2)
-        assert "sqrt" in red.x_role and "sqrt" in red.y_role
-
 
 class TestObstructions:
     def test_residue_examples(self):
