@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import islice
 
 from .extension import (
     VERDICT_BOUNDED,
@@ -25,7 +26,7 @@ from .extension import (
     find_certificate,
     search_and_certify,
 )
-from .pell import PellClass, PellProblem, fundamental_solution, solve_general, unit_sequence
+from .pell import PellProblem, fundamental_solution, solve_general, unit_sequence
 from .tuples import DiophTuple, is_regular, mod4_quadruple_obstruction, verify
 from .arith import legendre
 
@@ -38,6 +39,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse drops "--" from a value such as --set=-- and then hands
+        # back an empty list in place of the string
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -247,7 +253,7 @@ def _cmd_pell(args: argparse.Namespace) -> int:
             {
                 "base": [cls.base.x, cls.base.y],
                 "x_sign": cls.x_sign,
-                "members": [[s.x, s.y] for s in _first_members(cls, args.count)],
+                "members": [[s.x, s.y] for s in islice(cls.solutions(), args.count)],
             }
             for cls in classes
         ]
@@ -269,20 +275,6 @@ def _cmd_pell(args: argparse.Namespace) -> int:
             for x, y in cls["members"]:
                 print(f"    ({x}, {y})")
     return 0
-
-
-def _first_members(cls: PellClass, count: int) -> list:
-    # a walk of count+4 unit steps always covers the first `count`
-    # nonnegative members
-    found = set()
-    for u, v in cls.members(count + 4):
-        if u >= 0 and v >= 0:
-            found.add((u, v))
-        if u <= 0 and v <= 0:
-            found.add((-u, -v))
-    from .pell import PellSolution
-
-    return [PellSolution(x, y) for x, y in sorted(found)[:count]]
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ When no complete candidate exists, ``find_certificate`` looks for a modulus
 M at which the three allowed residue sets for m have empty intersection: a
 finite, machine-checkable proof that no extension exists at all.  It tries
 only the prime powers that can certify: powers of 2, of the odd primes
-below 29 and of the odd primes dividing both k and an element.
+below 17 and of the odd primes dividing both k and an element.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
 deliberately shares no residue-set code with the finder.
 """
@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
-from typing import Iterator
 
 from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
-from .tuples import ConditionWitness, DiophTuple, reduce_pair, verify
+from .tuples import ConditionWitness, DiophTuple, reduce_pair, square_points, verify
 
 __all__ = [
     "ExtensionCandidate",
@@ -179,18 +178,12 @@ def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
 def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     """Oracle search: every m in [1, max_m] outside t that extends t.
 
-    For the smallest element a, a*m + k = r^2 forces r^2 = k (mod a).  So
-    instead of testing every m, the search takes each residue rho in [0, a)
-    with rho^2 = k (mod a), walks r = rho, rho + a, ... up to
-    isqrt(a*max_m + k) and recovers m = (r^2 - k)/a.  That is
-    min(a, sqrt(a*max_m)) residue tests plus rho(a)*sqrt(max_m/a) square
-    tests, where rho(a) is the number of roots of r^2 = k (mod a).  When
-    a > max_m, sqrt(a*max_m) exceeds max_m, so each m is tested directly
-    instead: a huge element never costs more than max_m square tests.
-
-    b*m + k and then c*m + k are checked with exact integer square tests.
-    Returns the complete candidates only, ascending in m; an element of t
-    that meets the a- and b-conditions is reported in self_hits.
+    Only the m with a*m + k a square, a the smallest element, are visited:
+    dioph.tuples.square_points walks the square roots of a*m + k in their
+    residue classes mod a and states the cost.  b*m + k and then c*m + k are
+    checked with exact integer square tests.  Returns the complete
+    candidates only, ascending in m; an element of t that meets the a- and
+    b-conditions is reported in self_hits.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -199,7 +192,7 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     k = t.k
     found = []
     hits = []
-    for m, ra in _square_points(a, k, max_m):
+    for m, ra in square_points(a, k, max_m):
         rb = is_perfect_square(b * m + k)
         if rb is None:
             continue
@@ -219,24 +212,6 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(sorted(hits)))
 
 
-def _square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
-    # every (m, r) with 1 <= m <= max_m and a*m + k = r*r, in no set order
-    if a > max_m:
-        for m in range(1, max_m + 1):
-            r = is_perfect_square(a * m + k)
-            if r is not None:
-                yield m, r
-        return
-    top = a * max_m + k
-    rmax = isqrt(top) if top >= 0 else -1
-    for rho in range(min(a, rmax + 1)):
-        if (rho * rho - k) % a == 0:
-            for r in range(rho, rmax + 1, a):
-                m = (r * r - k) // a
-                if m >= 1:
-                    yield m, r
-
-
 def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     """Smallest modulus M <= max_modulus certifying t non-extendable, if any.
 
@@ -246,7 +221,7 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     M, so a composite modulus certifies exactly when one of its prime-power
     parts does, and the smallest certifying M is always a prime power.
 
-    Only the powers of 2, of the odd primes below 29 and of the odd primes
+    Only the powers of 2, of the odd primes below 17 and of the odd primes
     dividing both k and an element are tried: no power of any other prime p
     can certify.  For such p it is enough to find one m with every e*m + k a
     nonzero square mod p, since a unit square mod p stays a square mod every
@@ -267,6 +242,13 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
       adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
       r = 3, which is positive for p > 25, and 4*count >= p - 5 for r = 2;
       r <= 1 needs one m with e*m + k = 1, or none.
+    * p = 17, 19 or 23 does not divide k.  The count falls short here, but
+      the residues a D(k) triple can have are few: scaling k by a square
+      makes it 1 or the least non-residue mod p, and every e*e' + k is a
+      square or 0 mod p.  An exhaustive check over every such k and
+      multiset of residues, zero included, finds the m in each
+      (tests/test_extension.py).  At p = 13 it does not hold: {2, 4, 10}
+      with k = 2 leaves no m.
 
     The odd primes dividing k and an element are those of
     gcd(k, e1*e2*e3), factored with dioph.arith.factorize; it divides k,
@@ -321,7 +303,7 @@ def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
     return pow(x, (p - 1) >> 1, p) == 1
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _certifying_prime_powers(t: DiophTuple, limit: int) -> list[tuple[int, int, int]]:

@@ -1,14 +1,15 @@
 """Pell equations x^2 - D*y^2 = N.
 
 Continued-fraction expansion of sqrt(D), the fundamental solution of the unit
-equation (N = 1), the recurrence-generated unit sequence, and the complete
-set of solution classes of the generalized equation for arbitrary N != 0.
+equation (N = 1), the complete set of solution classes of the generalized
+equation for arbitrary N != 0, and the walk through a class by increasing y,
+of which the unit sequence is the class of (1, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product, takewhile
 from math import isqrt
 from typing import Iterator
 
@@ -69,21 +70,28 @@ def _require_nonsquare(D: int) -> None:
 def sqrt_cf(D: int) -> CFExpansion:
     """Periodic continued fraction of sqrt(D).
 
-    Uses the classical recurrence on (m, d, a); the period ends at the first
+    Uses the classical recurrence on (P, Q, a); the period ends at the first
     partial quotient equal to 2*a0.
     """
+    return _expand(D)[0]
+
+
+def _expand(D: int) -> tuple[CFExpansion, set[tuple[int, int]]]:
+    """sqrt_cf(D) and the states (P, Q) of its period, the complete
+    quotients (P + sqrt(D))/Q of the principal cycle."""
     _require_nonsquare(D)
     a0 = isqrt(D)
-    m, d = 0, 1
-    a = a0
+    P, Q, a = 0, 1, a0
     period = []
+    states = set()
     while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
+        P = Q * a - P
+        Q = (D - P * P) // Q
+        a = (a0 + P) // Q
         period.append(a)
+        states.add((P, Q))
         if a == 2 * a0:
-            return CFExpansion(a0, tuple(period))
+            return CFExpansion(a0, tuple(period)), states
 
 
 def fundamental_solution(D: int) -> PellSolution:
@@ -109,26 +117,12 @@ def _units(cf: CFExpansion, D: int) -> tuple[PellSolution, PellSolution | None]:
 
 
 def unit_sequence(D: int, count: int) -> list[PellSolution]:
-    """The first `count` solutions of x^2 - D*y^2 = 1, starting at (1, 0).
-
-    Successive solutions obey x[n+1] = 2*x1*x[n] - x[n-1] (same for y) where
-    (x1, y1) is the fundamental solution.
-    """
+    """The first `count` solutions of x^2 - D*y^2 = 1, starting at (1, 0):
+    the first `count` solutions of the class of (1, 0)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    sols = [PellSolution(1, 0)]
-    if count == 1:
-        return sols
-    fund = fundamental_solution(D)
-    sols.append(fund)
-    c = 2 * fund.x
-    while len(sols) < count:
-        a, b = sols[-1], sols[-2]
-        nxt = PellSolution(c * a.x - b.x, c * a.y - b.y)
-        if nxt.x * nxt.x - D * nxt.y * nxt.y != 1:
-            raise RuntimeError("unit recurrence left the solution set")
-        sols.append(nxt)
-    return sols
+    units = PellClass(PellProblem(D), PellSolution(1, 0), 1, fundamental_solution(D))
+    return list(islice(units.solutions(), count))
 
 
 @dataclass(frozen=True)
@@ -177,29 +171,37 @@ class PellClass:
         backward.reverse()
         return backward + [(u0, v0)] + forward
 
-    def nonnegative(self, max_y: int) -> list[PellSolution]:
-        """All solutions with x >= 0 and 0 <= y <= max_y lying in this class.
+    def solutions(self) -> Iterator[PellSolution]:
+        """Every solution with x, y >= 0 lying in this class, by increasing y.
 
-        A member (u, v) with both coordinates <= 0 contributes its mirror
-        (-u, -v), which belongs to the same class.  The walk length is sized
-        so that every member inside the requested window is reached: each
-        step scales one real embedding of the representative by the unit
-        (> 2), so bit lengths bound the escape time.
+        Write a member as beta = u + v*sqrt(D), with conjugate N/beta.  Its
+        coordinates share a sign (or one is 0) exactly when
+        |beta|^2 >= |N|, and 2*sqrt(D)*|v| = | |beta| - N/|beta| | falls as
+        |beta| rises to sqrt(|N|) and rises after it.  A unit step raises
+        |beta|, so the walk forwards from the member of least |v|
+        (_least_member) meets every member of one sign, by strictly
+        increasing |v|.  Only the member it starts at can have mixed signs,
+        and every member behind it does; such a member and its negation
+        give no solution with x, y >= 0.  A member with both coordinates
+        <= 0 contributes its negation, which lies in the same class.  The
+        walk never ends.
         """
+        D = self.problem.D
+        x1, y1 = self.unit.x, self.unit.y
+        u, v = _least_member(D, self.unit, self.x_sign * self.base.x, self.base.y)
+        while True:
+            if u >= 0 and v >= 0:
+                yield PellSolution(u, v)
+            elif u <= 0 and v <= 0:
+                yield PellSolution(-u, -v)
+            u, v = u * x1 + v * y1 * D, u * y1 + v * x1
+
+    def nonnegative(self, max_y: int) -> list[PellSolution]:
+        """All solutions with x >= 0 and 0 <= y <= max_y lying in this class,
+        ascending: the walk of solutions() cut at y > max_y."""
         if max_y < 0:
             raise ValueError("max_y must be >= 0")
-        D, N = self.problem.D, self.problem.N
-        d1 = isqrt(D) + 1
-        window = isqrt(abs(N) + D * max_y * max_y) + (max_y + 1) * d1
-        reach = self.base.x + (self.base.y + 1) * d1
-        steps = (window * reach // max(abs(N), 1)).bit_length() + 4
-        found = set()
-        for u, v in self.members(steps):
-            if u >= 0 and 0 <= v <= max_y:
-                found.add((u, v))
-            if u <= 0 and 0 <= -v <= max_y:
-                found.add((-u, -v))
-        return [PellSolution(x, y) for x, y in sorted(found)]
+        return list(takewhile(lambda s: s.y <= max_y, self.solutions()))
 
 
 def solve_general(problem: PellProblem) -> list[PellClass]:
@@ -222,9 +224,8 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     cofactor above TRIAL_DIVISION_BOUND**2.
     """
     D, N = problem.D, problem.N
-    cf = sqrt_cf(D)
+    cf, principal = _expand(D)
     unit, negative_unit = _units(cf, D)
-    principal = _principal_cycle(cf, D)
     root_cache: dict[tuple[int, int], list[int]] = {}
     reps: list[tuple[int, int]] = []
     factors = factorize(abs(N))
@@ -251,18 +252,6 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
         PellClass(problem, PellSolution(abs(x), y), -1 if x < 0 else 1, unit)
         for x, y in reps
     ]
-
-
-def _principal_cycle(cf: CFExpansion, D: int) -> set[tuple[int, int]]:
-    """The states (P, Q) of the periodic part of the expansion of sqrt(D)."""
-    states = set()
-    P, Q, a = 0, 1, cf.a0
-    for next_a in cf.period:
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        states.add((P, Q))
-        a = next_a
-    return states
 
 
 def _lmm_solution(

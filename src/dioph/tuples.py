@@ -2,15 +2,17 @@
 
 A D(k) set is a set of distinct positive integers such that the product of
 any two elements plus k is a perfect square.  This module verifies the
-property, enumerates the triples below a bound, classifies triples as
-regular or not, reduces a pair condition to a generalized Pell equation, and
-evaluates residue obstructions.
+property, walks the m that make a*m + k a square, enumerates the triples
+below a bound, classifies triples as regular or not, reduces a pair
+condition to a generalized Pell equation, and evaluates residue
+obstructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from .arith import is_perfect_square, legendre
 
@@ -22,6 +24,7 @@ __all__ = [
     "ConditionWitness",
     "verify",
     "enumerate_triples",
+    "square_points",
     "is_regular",
     "reduce_pair",
     "residue_obstruction",
@@ -105,23 +108,16 @@ def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
     """Every D(k) triple (a, b, c) with a < b < c <= limit, in ascending
     lexicographic order.
 
-    The partners b > a of each a are found by stepping over the square roots
-    r of a*b + k, not over every b; a triple is a partner b of a together
-    with a common partner c > b of a and b.
+    The partners b > a of each a are the points of square_points(a, k,
+    limit); a triple is a partner b of a together with a common partner
+    c > b of a and b.
     """
     if k == 0:
         raise ValueError("the shift k must be nonzero")
-    partners: dict[int, set[int]] = {}
-    for a in range(1, limit + 1):
-        partners[a] = set()
-        r = 0 if a + k < 0 else isqrt(a + k)
-        if r * r < a + k:
-            r += 1
-        while r * r <= a * limit + k:
-            v = r * r - k
-            if v % a == 0 and a < v // a <= limit:
-                partners[a].add(v // a)
-            r += 1
+    partners = {
+        a: {b for b, _ in square_points(a, k, limit) if b > a}
+        for a in range(1, limit + 1)
+    }
     return [
         (a, b, c)
         for a in range(1, limit + 1)
@@ -129,6 +125,34 @@ def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
         for c in sorted(partners[a] & partners[b])
         if c > b
     ]
+
+
+def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
+    """Every (m, r) with 1 <= m <= max_m and a*m + k = r*r, r >= 0, in no
+    set order, for a >= 1.
+
+    a*m + k = r^2 forces r^2 = k (mod a), so instead of testing every m the
+    walk takes each residue rho in [0, a) with rho^2 = k (mod a) and steps
+    r = rho, rho + a, ... up to isqrt(a*max_m + k).  That is
+    min(a, sqrt(a*max_m)) residue tests plus rho(a)*sqrt(max_m/a) points,
+    where rho(a) is the number of roots of r^2 = k (mod a).  When a > max_m,
+    sqrt(a*max_m) exceeds max_m, so each m is tested directly instead: a
+    huge a never costs more than max_m square tests.
+    """
+    if a > max_m:
+        for m in range(1, max_m + 1):
+            r = is_perfect_square(a * m + k)
+            if r is not None:
+                yield m, r
+        return
+    top = a * max_m + k
+    rmax = isqrt(top) if top >= 0 else -1
+    for rho in range(min(a, rmax + 1)):
+        if (rho * rho - k) % a == 0:
+            for r in range(rho, rmax + 1, a):
+                m = (r * r - k) // a
+                if m >= 1:
+                    yield m, r
 
 
 def is_regular(t: DiophTuple) -> bool:

@@ -1,9 +1,13 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph.cli import main
+from dioph.tuples import enumerate_triples
 
 
 def run(capsys, *argv):
@@ -239,6 +243,72 @@ class TestObstructCommand:
         assert "not an odd prime" in err
 
 
+# D(k) triples with small elements, so that the fuzzed extend runs reach
+# the Pell walk, brute force and the certificate search
+DK_TRIPLES = [
+    (",".join(map(str, elements)), k)
+    for k in range(-6, 7) if k
+    for elements in enumerate_triples(30, k)
+]
+SMALL_SETS = st.lists(st.integers(min_value=-5, max_value=60), min_size=2, max_size=4)
+JUNK_SETS = st.sampled_from(["", ",", "7,x", "1,,2", " 3, 4", "1.5,2", "0x10,3", "--", "7;14"])
+SETS_AND_SHIFTS = st.one_of(
+    st.sampled_from(DK_TRIPLES),
+    st.tuples(
+        st.one_of(SMALL_SETS.map(lambda es: ",".join(map(str, es))), JUNK_SETS, st.text(max_size=8)),
+        st.integers(min_value=-60, max_value=60),
+    ),
+)
+OUTPUT = st.sampled_from(["text", "json"])
+
+
+def set_args(set_and_shift):
+    elements, k = set_and_shift
+    return [f"--set={elements}", f"--k={k}"]
+
+
+FUZZED_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["verify", "classify"]), SETS_AND_SHIFTS, OUTPUT).map(
+        lambda c: [c[0], *set_args(c[1]), "--output", c[2]]
+    ),
+    st.tuples(
+        SETS_AND_SHIFTS,
+        st.integers(min_value=-2, max_value=6),
+        st.integers(min_value=-2, max_value=2000),
+        st.integers(min_value=-2, max_value=600),
+        st.sampled_from(["pell", "brute"]),
+        OUTPUT,
+    ).map(
+        lambda c: [
+            "extend", *set_args(c[0]), f"--bound-index={c[1]}", f"--max-m={c[2]}",
+            f"--max-modulus={c[3]}", "--strategy", c[4], "--output", c[5],
+        ]
+    ),
+    st.tuples(
+        st.integers(min_value=-3, max_value=200),
+        st.integers(min_value=-300, max_value=300),
+        st.integers(min_value=-1, max_value=6),
+        OUTPUT,
+    ).map(lambda c: ["pell", f"--d={c[0]}", f"--n={c[1]}", f"--count={c[2]}", "--output", c[3]]),
+    st.tuples(
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=-10, max_value=200),
+        OUTPUT,
+    ).map(lambda c: ["obstruct", f"--k={c[0]}", f"--prime={c[1]}", "--output", c[2]]),
+    st.lists(st.text(max_size=10), max_size=5),
+)
+
+
+@given(FUZZED_ARGV)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "badcmd")[0] == 2
@@ -258,6 +328,14 @@ class TestUsageErrors:
 
     def test_duplicate_elements(self, capsys):
         assert run(capsys, "verify", "--set", "7,7", "--k", "2")[0] == 2
+
+    @pytest.mark.parametrize("argv", [("verify", "--set=--", "--k", "2"), ("pell", "--d=--")])
+    def test_double_dash_value_is_usage_error(self, capsys, argv):
+        # argparse turns the value "--" into an empty list
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "expected one argument" in err
 
 
 class TestJsonRoundTrip:

@@ -102,6 +102,24 @@ def small_dk_triples(seed, count):
     return [DiophTuple(elements, k) for elements, k in sample]
 
 
+def common_square(p, k, elements, squares):
+    """Whether some m makes every e*m + k a nonzero square mod p."""
+    return any(all((e * m + k) % p in squares for e in elements) for m in range(p))
+
+
+def dk_configurations(p, shifts):
+    """(k, residues) for each k in shifts and each multiset of three residues
+    mod p whose pairwise products plus k are squares or 0 mod p."""
+    squares = {r * r % p for r in range(p)}
+    for k in shifts:
+        for e1 in range(p):
+            for e2 in range(e1, p):
+                for e3 in range(e2, p):
+                    pairs = ((e1, e2), (e1, e3), (e2, e3))
+                    if all((x * y + k) % p in squares for x, y in pairs):
+                        yield k, (e1, e2, e3)
+
+
 def reference_brute_force(t, max_m):
     """Test every m in [1, max_m] in turn, as brute_force_search once did."""
     a, b, c = t.elements
@@ -381,9 +399,6 @@ class TestFindCertificate:
         # the character-sum case of find_certificate's docstring, exhaustively:
         # scaling m makes e1 = 1, scaling by a square makes k = 1 or the least
         # non-residue, and p | e in a D(k) triple forces k to be a residue
-        def common_square(p, k, elements, squares):
-            return any(all((e * m + k) % p in squares for e in elements) for m in range(p))
-
         for p in range(29, 114):
             if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
                 continue
@@ -394,23 +409,36 @@ class TestFindCertificate:
                 for e2 in range(lowest, p):
                     for e3 in range(e2, p):
                         assert common_square(p, k, (1, e2, e3), squares), (p, k, e2, e3)
-        # below 29 the count can fail: mod 17 nothing serves 1, 4, 15 with k = 3
-        assert not common_square(17, 3, (1, 4, 15), {r * r % 17 for r in range(1, 17)})
+
+    def test_primes_17_to_23_leave_a_common_square_for_every_dk_triple(self):
+        # the exhaustive case of find_certificate's docstring: every k up to a
+        # square factor and every multiset of element residues, zero
+        # included, that a D(k) triple can have mod p
+        for p in (17, 19, 23):
+            squares = {r * r % p for r in range(1, p)}
+            non_residue = min(set(range(1, p)) - squares)
+            for k, elements in dk_configurations(p, (1, non_residue)):
+                assert common_square(p, k, elements, squares), (p, k, elements)
+        # mod 13 such a triple can leave no m: (2, 4, 10) with k = 2
+        squares = {r * r % 13 for r in range(1, 13)}
+        assert (2, (2, 4, 10)) in dk_configurations(13, (2,))
+        assert not common_square(13, 2, (2, 4, 10), squares)
 
     def test_scan_adds_the_odd_primes_dividing_k_and_an_element(self):
         def powers(primes, limit):
             found = [(p, j, p**j) for p in primes for j in range(1, 11) if p**j <= limit]
             return sorted(found, key=lambda power: power[2])
 
-        small = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        small = [2, 3, 5, 7, 11, 13]
         cases = [
             (DiophTuple((1, 31, 32), -31), [31]),
+            (DiophTuple((1, 17, 18), -17), [17]),
             (DiophTuple((1, 5, 18), 31), []),  # 31 divides k but no element
             (DiophTuple((6, 319, 383), -29 * 37), [29]),  # 319 = 11*29; 37 divides none
             (T_7_14_41, []),
         ]
         for t, extra in cases:
-            for limit in (2, 28, 31, 1000):
+            for limit in (2, 16, 17, 31, 1000):
                 assert _certifying_prime_powers(t, limit) == powers(small + extra, limit), t
 
     def test_uncertifiable_triple_scans_a_huge_cap_quickly(self):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -156,6 +157,14 @@ class TestPellClass:
                 for u, v in cls.members(6):
                     assert u * u - prob.D * v * v == prob.N
 
+    def test_solutions_walk_from_any_member_of_the_class(self):
+        # a class built on a member other than the least one walks the same
+        unit = fundamental_solution(8)
+        for base, x_sign in [(PellSolution(17, 6), 1), (PellSolution(99, 35), -1)]:
+            cls = PellClass(PellProblem(8, 1), base, x_sign, unit)
+            assert list(islice(cls.solutions(), 4)) == unit_sequence(8, 4)
+            assert cls.nonnegative(35) == unit_sequence(8, 4)
+
     def test_members_window_is_symmetric_walk(self):
         cls = solve_general(PellProblem(2, -2))[0]
         mem = cls.members(2)
@@ -173,6 +182,7 @@ class TestSolveGeneral:
             (24, 17),
             (140, 99),
         ]
+        assert list(islice(classes[0].solutions(), 4)) == classes[0].nonnegative(100)
 
     def test_unit_equation_as_general_case(self):
         classes = solve_general(PellProblem(8, 1))
@@ -183,6 +193,7 @@ class TestSolveGeneral:
             (17, 6),
             (99, 35),
         ]
+        assert list(islice(classes[0].solutions(), 4)) == classes[0].nonnegative(100)
 
     def test_insoluble_case_gives_no_classes(self):
         # x^2 = 2 mod 3 has no solution
@@ -247,11 +258,32 @@ class TestSolveGeneral:
     )
     @settings(max_examples=60, deadline=None)
     def test_classes_cover_brute_force_window(self, D, N):
-        expected = set(brute_solutions(D, N, 500))
+        window = brute_solutions(D, N, 500)
         got = set()
         for cls in solve_general(PellProblem(D, N)):
             got.update((s.x, s.y) for s in cls.nonnegative(500))
-        assert got == expected
+            # the walk meets the class's part of the window first, in order
+            rep = (cls.x_sign * cls.base.x, cls.base.y)
+            expected = [s for s in window if _same_class(D, N, *s, *rep)]
+            first = list(islice(cls.solutions(), len(expected) + 1))
+            assert [(s.x, s.y) for s in first[:-1]] == expected
+            assert first[-1].y > 500
+            assert all(s.x * s.x - D * s.y * s.y == N for s in first)
+            assert all(s.y < t.y for s, t in zip(first, first[1:]))
+        assert got == set(window)
+
+    @pytest.mark.parametrize(
+        "D,N",
+        [(2, -1), (2, 1), (5, -4), (5, 4), (13, -1), (13, 3), (61, -1), (61, 3), (581, -31540)],
+    )
+    def test_solutions_rise_strictly_and_solve_the_equation(self, D, N):
+        # far beyond any brute-force window, and through members that tie
+        # in |y|, such as (x1, y1) and (x1, -y1) of the class of (1, 0)
+        for cls in solve_general(PellProblem(D, N)):
+            first = list(islice(cls.solutions(), 12))
+            assert first[0] == cls.base or cls.x_sign == -1
+            assert all(s.x >= 0 and s.x * s.x - D * s.y * s.y == N for s in first)
+            assert all(s.y < t.y for s, t in zip(first, first[1:]))
 
 
 def test_class_counts_match_sympy_diop_dn():
