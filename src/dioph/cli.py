@@ -162,6 +162,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
+    # every bound is checked, whichever strategy runs
+    for name, least in [("bound_index", 0), ("max_m", 1), ("max_modulus", 2)]:
+        if getattr(args, name) < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
     t = _parse_tuple(args)
     if args.strategy == "brute":
         report = brute_force_search(t, args.max_m)

@@ -21,6 +21,7 @@ deliberately shares no residue-set code with the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import gcd, isqrt
 
 from .arith import factorize, is_perfect_square
@@ -105,12 +106,11 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
 
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
     k*b*(b-a); every solution class (solve_general finds them all) is walked
-    max_index unit-multiplications in both directions, a class and its
-    mirror (the same base with the opposite x_sign) once for both, since
-    they give the same (|X|, |Y|) over that range.  Each member yields
-    m = (x^2 - k)/a when integral; m <= 0 is discarded, m equal to an
-    existing element is reported as a self-hit, and every other m becomes a
-    candidate whose third condition c*m + k is then tested.
+    forwards max_index unit-multiplications from its member of least |Y|
+    (PellClass.walk).  Each member yields m = (x^2 - k)/a when integral;
+    m <= 0 is discarded, m equal to an existing element is reported as a
+    self-hit, and every other m becomes a candidate whose third condition
+    c*m + k is then tested.
 
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions, which are enumerated outright.  Either way
@@ -126,14 +126,8 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     if is_perfect_square(red.D) is not None:
         solutions = _square_discriminant_solutions(red.D, red.N)
     else:
-        classes = solve_general(PellProblem(red.D, red.N))
-        # The mirror of a class (same base, x_sign -1) holds at index -n the
-        # negated conjugate of its member at index n: the same (|X|, |Y|).
-        mirrored = {cls.base for cls in classes if cls.x_sign == 1}
-        for cls in classes:
-            if cls.x_sign == -1 and cls.base in mirrored:
-                continue
-            for u, v in cls.members(max_index):
+        for cls in solve_general(PellProblem(red.D, red.N)):
+            for u, v in islice(cls.walk(), max_index + 1):
                 solutions.append((abs(u), abs(v)))
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
@@ -356,6 +350,8 @@ def search_and_certify(
     max_modulus: int = 10**5,
 ) -> SearchReport:
     """Pell search first; when nothing extends, attempt a certificate."""
+    if max_modulus < 2:
+        raise ValueError("max_modulus must be >= 2")
     report = pell_extension_search(t, max_index)
     if report.verdict == VERDICT_EXTENDED:
         return report

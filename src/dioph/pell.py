@@ -151,28 +151,27 @@ class PellClass:
         if self.unit.x * self.unit.x - D * self.unit.y * self.unit.y != 1:
             raise ValueError("unit does not satisfy the unit equation")
 
-    def members(self, steps: int) -> list[tuple[int, int]]:
-        """Signed members rep * unit**n for n in [-steps, steps], in n order."""
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """The signed members least * unit**n for n = 0, 1, 2, ..., without
+        end, where least is the class's member of least |y| (_least_member),
+        whichever member the class was built on.
+
+        The member at n = -s is, up to sign, the conjugate of the mirror
+        class's member at n = s (the mirror is the class of (-x, y)), or at
+        n = s - 1 when least ties in |y| with the member behind it and the
+        class is its own mirror.  So the first s + 1 members of a class and
+        of its mirror meet all members at -s <= n <= s of both.
+        """
         D = self.problem.D
         x1, y1 = self.unit.x, self.unit.y
-        u0, v0 = self.x_sign * self.base.x, self.base.y
-        forward = []
-        u, v = u0, v0
-        for _ in range(steps):
+        u, v = _least_member(D, self.unit, self.x_sign * self.base.x, self.base.y)
+        while True:
+            yield u, v
             u, v = u * x1 + v * y1 * D, u * y1 + v * x1
-            forward.append((u, v))
-        backward = []
-        u, v = u0, v0
-        for _ in range(steps):
-            u, v = u * x1 - v * y1 * D, v * x1 - u * y1
-            backward.append((u, v))
-        backward.reverse()
-        return backward + [(u0, v0)] + forward
 
     def solutions(self) -> Iterator[PellSolution]:
-        """Every solution with x, y >= 0 lying in this class, by increasing y.
+        """Every solution with x, y >= 0 lying in this class, by increasing y:
+        the members of walk() whose coordinates share a sign.
 
         Write a member as beta = u + v*sqrt(D), with conjugate N/beta.  Its
         coordinates share a sign (or one is 0) exactly when
@@ -186,15 +185,11 @@ class PellClass:
         <= 0 contributes its negation, which lies in the same class.  The
         walk never ends.
         """
-        D = self.problem.D
-        x1, y1 = self.unit.x, self.unit.y
-        u, v = _least_member(D, self.unit, self.x_sign * self.base.x, self.base.y)
-        while True:
+        for u, v in self.walk():
             if u >= 0 and v >= 0:
                 yield PellSolution(u, v)
             elif u <= 0 and v <= 0:
                 yield PellSolution(-u, -v)
-            u, v = u * x1 + v * y1 * D, u * y1 + v * x1
 
     def nonnegative(self, max_y: int) -> list[PellSolution]:
         """All solutions with x >= 0 and 0 <= y <= max_y lying in this class,

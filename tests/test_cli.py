@@ -148,6 +148,20 @@ class TestExtendCommand:
         assert "Traceback" not in err
         assert elapsed < 10.0, f"extend took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("strategy", ["pell", "brute"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--bound-index", "-5"), ("--max-m", "0"), ("--max-modulus", "0"), ("--max-modulus", "1")],
+    )
+    def test_bad_bound_is_usage_error_whichever_strategy_runs(self, capsys, flag, value, strategy):
+        # {1, 3, 8} extends, so neither strategy would reach a bound it does not use
+        code, out, err = run(
+            capsys, "extend", "--set", "1,3,8", "--k", "1", "--strategy", strategy, flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be >=" in err
+
     def test_non_dk_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "extend", "--set", "7,14,40", "--k", "2")
         assert code == 2

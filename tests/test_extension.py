@@ -58,18 +58,30 @@ def reference_first_certificate_modulus(t, max_modulus):
     return None
 
 
+def unit_step(D, unit, u, v, direction):
+    """(u + v*sqrt(D)) times the unit (direction 1) or its inverse (-1)."""
+    x1, y1 = unit.x, direction * unit.y
+    return u * x1 + v * y1 * D, u * y1 + v * x1
+
+
 def reference_pell_walk(t, max_index):
-    """Walk every Pell class, mirrors included, as pell_extension_search once did."""
+    """Walk every Pell class, mirrors included, max_index unit steps both
+    ways from its stored representative."""
     a, b, c = t.elements
     red = reduce_pair(a, b, t.k)
     if is_perfect_square(red.D) is not None:
         solutions = _square_discriminant_solutions(red.D, red.N)
     else:
-        solutions = [
-            (abs(u), abs(v))
-            for cls in solve_general(PellProblem(red.D, red.N))
-            for u, v in cls.members(max_index)
-        ]
+        solutions = []
+        for cls in solve_general(PellProblem(red.D, red.N)):
+            rep = (cls.x_sign * cls.base.x, cls.base.y)
+            solutions.append(rep)
+            for direction in (1, -1):
+                u, v = rep
+                for _ in range(max_index):
+                    u, v = unit_step(red.D, cls.unit, u, v, direction)
+                    solutions.append((u, v))
+        solutions = [(abs(u), abs(v)) for u, v in solutions]
     found = {}
     hits = set()
     for X, Y in solutions:
@@ -244,7 +256,7 @@ class TestPellExtensionSearch:
             assert ms == sorted(set(ms))
             assert all(m >= 1 for m in ms)
 
-    @pytest.mark.parametrize("index", [0, 1, 15])
+    @pytest.mark.parametrize("index", [0, 1, 15, 30])
     def test_matches_walk_over_every_class(self, index):
         cases = K2_FIXTURES + [
             T_1_3_8,
@@ -253,17 +265,31 @@ class TestPellExtensionSearch:
             DiophTuple((1, 4, 11), 5),
             DiophTuple((7, 83, 138), -5),
             DiophTuple((1, 61, 78), 3),
+            # classes that are their own mirror, of the three kinds
+            DiophTuple((1, 33, 44), -8),  # x = 0: class (0, 16)
+            DiophTuple((6, 8, 28), 1),  # y = 0: class (4, 0)
+            DiophTuple((2, 4, 6), -8),  # ties the member behind it: class (8, 4)
         ]
         cases += small_dk_triples(6, 40)
-        mirrored = 0
+        kinds = set()
         for t in cases:
             red = reduce_pair(t.elements[0], t.elements[1], t.k)
             if is_perfect_square(red.D) is None:
                 classes = solve_general(PellProblem(red.D, red.N))
                 plus = {cls.base for cls in classes if cls.x_sign == 1}
-                mirrored += sum(cls.x_sign == -1 and cls.base in plus for cls in classes)
+                for cls in classes:
+                    x, y = cls.x_sign * cls.base.x, cls.base.y
+                    if cls.x_sign == -1 and cls.base in plus:
+                        kinds.add("mirror pair")
+                    if x == 0:
+                        kinds.add("x = 0")
+                    if y == 0:
+                        kinds.add("y = 0")
+                    if abs(unit_step(red.D, cls.unit, x, y, -1)[1]) == y > 0:
+                        kinds.add("tie")
             assert pell_extension_search(t, index) == reference_pell_walk(t, index), t
-        assert mirrored > 0  # the walk really had mirror classes to skip
+        # the forward walk has to stand in for the backward one in each case
+        assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
 
 
 class TestBruteForceSearch:
@@ -521,6 +547,14 @@ class TestSearchAndCertify:
         report = search_and_certify(T_3_4_13)
         assert report.verdict == VERDICT_CERTIFIED
         assert report.certificate.modulus == 8
+
+    @pytest.mark.parametrize("max_modulus", [-1, 0, 1])
+    def test_rejects_modulus_cap_below_two_before_the_walk(self, max_modulus):
+        # {1, 3, 8} extends at index 30, where the certificate search never runs
+        with pytest.raises(ValueError, match="max_modulus must be >= 2"):
+            search_and_certify(T_1_3_8, 30, max_modulus)
+        with pytest.raises(ValueError, match="max_modulus must be >= 2"):
+            search_and_certify(T_1_3_8, -1, max_modulus)
 
     def test_bounded_when_certificate_out_of_reach(self):
         report = search_and_certify(T_7_14_41, max_index=10, max_modulus=3)

@@ -154,7 +154,10 @@ class TestPellClass:
     def test_members_stay_on_conic(self):
         for prob in [PellProblem(2, -2), PellProblem(5, -4), PellProblem(2, 7)]:
             for cls in solve_general(prob):
-                for u, v in cls.members(6):
+                members = list(islice(cls.walk(), 7))
+                assert members[0] == (cls.x_sign * cls.base.x, cls.base.y)
+                assert len(set(members)) == 7
+                for u, v in members:
                     assert u * u - prob.D * v * v == prob.N
 
     def test_solutions_walk_from_any_member_of_the_class(self):
@@ -164,12 +167,10 @@ class TestPellClass:
             cls = PellClass(PellProblem(8, 1), base, x_sign, unit)
             assert list(islice(cls.solutions(), 4)) == unit_sequence(8, 4)
             assert cls.nonnegative(35) == unit_sequence(8, 4)
-
-    def test_members_window_is_symmetric_walk(self):
-        cls = solve_general(PellProblem(2, -2))[0]
-        mem = cls.members(2)
-        assert len(mem) == 5
-        assert mem[2] == (0, 1)
+            assert list(islice(cls.walk(), 3)) == [(1, 0), (3, 1), (17, 6)]
+        # the class of (0, 1) of x^2 - 2*y^2 = -2, built on (-24, 17)
+        cls = PellClass(PellProblem(2, -2), PellSolution(24, 17), -1, fundamental_solution(2))
+        assert list(islice(cls.walk(), 3)) == [(0, 1), (4, 3), (24, 17)]
 
 
 class TestSolveGeneral:
@@ -246,8 +247,9 @@ class TestSolveGeneral:
         # |y| along rep * unit**n falls and then rises, so no smaller |y|
         # one unit step away means base has the least y >= 0 of its class
         for cls in solve_general(PellProblem(D, N)):
-            back, _, forward = cls.members(1)
-            for _, v in (back, forward):
+            x, y = cls.x_sign * cls.base.x, cls.base.y
+            x1, y1 = cls.unit.x, cls.unit.y
+            for v in (x * y1 + y * x1, y * x1 - x * y1):
                 assert abs(v) >= cls.base.y
                 if abs(v) == cls.base.y:
                     assert cls.x_sign == 1
