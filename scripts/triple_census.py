@@ -39,7 +39,14 @@ def main(argv=None):
     parser.add_argument("--show", type=int, default=3,
                         help="certified examples to print per k")
     args = parser.parse_args(argv)
+    try:
+        return _census(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _census(args):
     grand = Counter()
     t0 = time.perf_counter()
     print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "

@@ -255,8 +255,8 @@ def _cmd_pell(args: argparse.Namespace) -> int:
         classes = solve_general(PellProblem(args.d, args.n))
         payload["classes"] = [
             {
-                "base": [cls.base.x, cls.base.y],
-                "x_sign": cls.x_sign,
+                "base": [abs(cls.rep.x), cls.rep.y],
+                "x_sign": -1 if cls.rep.x < 0 else 1,
                 "members": [[s.x, s.y] for s in islice(cls.solutions(), args.count)],
             }
             for cls in classes

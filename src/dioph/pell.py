@@ -34,14 +34,6 @@ class CFExpansion:
     a0: int
     period: tuple[int, ...]
 
-    def terms(self, count: int) -> Iterator[int]:
-        """The first `count` partial quotients a0, a1, a2, ..."""
-        for i in range(count):
-            if i == 0:
-                yield self.a0
-            else:
-                yield self.period[(i - 1) % len(self.period)]
-
 
 @dataclass(frozen=True)
 class PellSolution:
@@ -121,50 +113,46 @@ def unit_sequence(D: int, count: int) -> list[PellSolution]:
     the first `count` solutions of the class of (1, 0)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    units = PellClass(PellProblem(D), PellSolution(1, 0), 1, fundamental_solution(D))
+    units = PellClass(PellProblem(D), PellSolution(1, 0), fundamental_solution(D))
     return list(islice(units.solutions(), count))
 
 
 @dataclass(frozen=True)
 class PellClass:
-    """One class of solutions of x^2 - D*y^2 = N.
+    """One class of solutions of x^2 - D*y^2 = N: the members +/- rep * unit**n
+    for n in Z.
 
-    The class consists of +/- rep * unit**n for n in Z, where rep is the
-    stored representative: x_sign * base.x + base.y * sqrt(D).  base holds
-    the magnitudes (base.x, base.y >= 0); x_sign records the sign the
-    representative's x coordinate carries.
+    The class may be built on any of its members; construction replaces rep
+    by the member of least y >= 0, x >= 0 on a tie (_least_member), so two
+    classes built on members of one class compare equal.
     """
 
     problem: PellProblem
-    base: PellSolution
-    x_sign: int
+    rep: PellSolution
     unit: PellSolution
 
     def __post_init__(self) -> None:
         D, N = self.problem.D, self.problem.N
-        if self.x_sign not in (-1, 1):
-            raise ValueError("x_sign must be +1 or -1")
-        if self.base.x < 0 or self.base.y < 0:
-            raise ValueError("base stores magnitudes; coordinates must be >= 0")
-        if self.base.x * self.base.x - D * self.base.y * self.base.y != N:
-            raise ValueError("base does not satisfy the defining equation")
+        x, y = self.rep.x, self.rep.y
+        if x * x - D * y * y != N:
+            raise ValueError("rep does not satisfy the defining equation")
         if self.unit.x * self.unit.x - D * self.unit.y * self.unit.y != 1:
             raise ValueError("unit does not satisfy the unit equation")
+        object.__setattr__(self, "rep", PellSolution(*_least_member(D, self.unit, x, y)))
 
     def walk(self) -> Iterator[tuple[int, int]]:
-        """The signed members least * unit**n for n = 0, 1, 2, ..., without
-        end, where least is the class's member of least |y| (_least_member),
-        whichever member the class was built on.
+        """The signed members rep * unit**n for n = 0, 1, 2, ..., without
+        end, from the member of least |y| that construction stored as rep.
 
         The member at n = -s is, up to sign, the conjugate of the mirror
         class's member at n = s (the mirror is the class of (-x, y)), or at
-        n = s - 1 when least ties in |y| with the member behind it and the
+        n = s - 1 when rep ties in |y| with the member behind it and the
         class is its own mirror.  So the first s + 1 members of a class and
         of its mirror meet all members at -s <= n <= s of both.
         """
         D = self.problem.D
         x1, y1 = self.unit.x, self.unit.y
-        u, v = _least_member(D, self.unit, self.x_sign * self.base.x, self.base.y)
+        u, v = self.rep.x, self.rep.y
         while True:
             yield u, v
             u, v = u * x1 + v * y1 * D, u * y1 + v * x1
@@ -177,13 +165,12 @@ class PellClass:
         coordinates share a sign (or one is 0) exactly when
         |beta|^2 >= |N|, and 2*sqrt(D)*|v| = | |beta| - N/|beta| | falls as
         |beta| rises to sqrt(|N|) and rises after it.  A unit step raises
-        |beta|, so the walk forwards from the member of least |v|
-        (_least_member) meets every member of one sign, by strictly
-        increasing |v|.  Only the member it starts at can have mixed signs,
-        and every member behind it does; such a member and its negation
-        give no solution with x, y >= 0.  A member with both coordinates
-        <= 0 contributes its negation, which lies in the same class.  The
-        walk never ends.
+        |beta|, so the walk forwards from the member of least |v| (rep)
+        meets every member of one sign, by strictly increasing |v|.  Only
+        the member it starts at can have mixed signs, and every member
+        behind it does; such a member and its negation give no solution with
+        x, y >= 0.  A member with both coordinates <= 0 contributes its
+        negation, which lies in the same class.  The walk never ends.
         """
         for u, v in self.walk():
             if u >= 0 and v >= 0:
@@ -213,16 +200,16 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     class.  The result is therefore complete, whatever the size of the
     fundamental unit.
 
-    Each class is given by its member of least y >= 0 (x >= 0 on a tie), and
-    the classes are sorted by (y, x < 0).  |N| is factored by trial division
-    (see dioph.arith.factorize), which raises ValueError when it leaves a
-    cofactor above TRIAL_DIVISION_BOUND**2.
+    Each class holds its member of least y >= 0 (x >= 0 on a tie) as rep,
+    and the classes are sorted by (rep.y, rep.x < 0).  |N| is factored by
+    trial division (see dioph.arith.factorize), which raises ValueError when
+    it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
     D, N = problem.D, problem.N
     cf, principal = _expand(D)
     unit, negative_unit = _units(cf, D)
     root_cache: dict[tuple[int, int], list[int]] = {}
-    reps: list[tuple[int, int]] = []
+    classes: list[PellClass] = []
     factors = factorize(abs(N))
     for halves in product(*(range(e // 2 + 1) for _, e in factors)):
         f = 1
@@ -238,15 +225,12 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
             xy = _lmm_solution(D, cf.a0, principal, negative_unit, z, m)
             if xy is None:
                 continue
-            x, y = _least_member(D, unit, f * xy[0], f * xy[1])
-            reps.append((x, y))
+            cls = PellClass(problem, PellSolution(f * xy[0], f * xy[1]), unit)
+            classes.append(cls)
             if 0 < 2 * z < size:
-                reps.append((-x, y))
-    reps.sort(key=lambda r: (r[1], r[0] < 0))
-    return [
-        PellClass(problem, PellSolution(abs(x), y), -1 if x < 0 else 1, unit)
-        for x, y in reps
-    ]
+                classes.append(PellClass(problem, PellSolution(-cls.rep.x, cls.rep.y), unit))
+    classes.sort(key=lambda c: (c.rep.y, c.rep.x < 0))
+    return classes
 
 
 def _lmm_solution(

@@ -193,10 +193,6 @@ class PairReduction:
     D: int
     N: int
 
-    def witness_xy(self, root_a: int, root_b: int) -> tuple[int, int]:
-        """Map the square roots of (a*m + k, b*m + k) to a solution (X, Y)."""
-        return self.b * root_a, root_b
-
     def recover_m(self, X: int, Y: int) -> int | None:
         """The m behind a solution (X, Y), or None when the solution is spurious.
 

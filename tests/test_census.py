@@ -1,0 +1,21 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from triple_census import main  # noqa: E402
+
+
+def test_default_run_totals(capsys):
+    assert main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].split() == ["all", "618", "593", "249", "228", "141"]
+
+
+@pytest.mark.parametrize("argv", [["--bound-index", "-1"], ["--max-modulus", "1"]])
+def test_bad_bound_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1

@@ -236,6 +236,19 @@ class TestPellCommand:
         assert payload["n"] == -2
         assert payload["classes"][0]["members"][:2] == [[0, 1], [4, 3]]
 
+    def test_json_classes_carry_the_sign_of_x(self, capsys):
+        # the mirror of (1, 1) is the class of (-1, 1); (4, 2) is its own
+        code, out, _ = run(
+            capsys, "pell", "--d", "5", "--n", "-4", "--count", "2",
+            "--output", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["classes"] == [
+            {"base": [1, 1], "x_sign": 1, "members": [[1, 1], [29, 13]]},
+            {"base": [1, 1], "x_sign": -1, "members": [[11, 5], [199, 89]]},
+            {"base": [4, 2], "x_sign": 1, "members": [[4, 2], [76, 34]]},
+        ]
+
 
 class TestObstructCommand:
     def test_excluded(self, capsys):

@@ -74,7 +74,7 @@ def reference_pell_walk(t, max_index):
     else:
         solutions = []
         for cls in solve_general(PellProblem(red.D, red.N)):
-            rep = (cls.x_sign * cls.base.x, cls.base.y)
+            rep = (cls.rep.x, cls.rep.y)
             solutions.append(rep)
             for direction in (1, -1):
                 u, v = rep
@@ -276,10 +276,10 @@ class TestPellExtensionSearch:
             red = reduce_pair(t.elements[0], t.elements[1], t.k)
             if is_perfect_square(red.D) is None:
                 classes = solve_general(PellProblem(red.D, red.N))
-                plus = {cls.base for cls in classes if cls.x_sign == 1}
+                reps = {(cls.rep.x, cls.rep.y) for cls in classes}
                 for cls in classes:
-                    x, y = cls.x_sign * cls.base.x, cls.base.y
-                    if cls.x_sign == -1 and cls.base in plus:
+                    x, y = cls.rep.x, cls.rep.y
+                    if x < 0 and (-x, y) in reps:
                         kinds.add("mirror pair")
                     if x == 0:
                         kinds.add("x = 0")

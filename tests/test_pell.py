@@ -60,7 +60,8 @@ class TestSqrtCF:
         for D in NONSQUARE_D[:40]:
             cf = sqrt_cf(D)
             p2, p1, q2, q1 = 0, 1, 1, 0
-            for a in cf.terms(2 * len(cf.period) + 2):
+            for i in range(2 * len(cf.period) + 2):
+                a = cf.period[(i - 1) % len(cf.period)] if i else cf.a0
                 p, q = a * p1 + p2, a * q1 + q2
                 if q > 0:
                     assert abs(p * p - D * q * q) <= 2 * isqrt(D) + 2
@@ -145,17 +146,15 @@ class TestPellClass:
         prob = PellProblem(8, 1)
         unit = fundamental_solution(8)
         with pytest.raises(ValueError):
-            PellClass(prob, PellSolution(2, 1), 1, unit)
+            PellClass(prob, PellSolution(2, 1), unit)
         with pytest.raises(ValueError):
-            PellClass(prob, PellSolution(1, 0), 0, unit)
-        with pytest.raises(ValueError):
-            PellClass(prob, PellSolution(1, 0), 1, PellSolution(3, 2))
+            PellClass(prob, PellSolution(1, 0), PellSolution(3, 2))
 
     def test_members_stay_on_conic(self):
         for prob in [PellProblem(2, -2), PellProblem(5, -4), PellProblem(2, 7)]:
             for cls in solve_general(prob):
                 members = list(islice(cls.walk(), 7))
-                assert members[0] == (cls.x_sign * cls.base.x, cls.base.y)
+                assert members[0] == (cls.rep.x, cls.rep.y)
                 assert len(set(members)) == 7
                 for u, v in members:
                     assert u * u - prob.D * v * v == prob.N
@@ -163,14 +162,30 @@ class TestPellClass:
     def test_solutions_walk_from_any_member_of_the_class(self):
         # a class built on a member other than the least one walks the same
         unit = fundamental_solution(8)
-        for base, x_sign in [(PellSolution(17, 6), 1), (PellSolution(99, 35), -1)]:
-            cls = PellClass(PellProblem(8, 1), base, x_sign, unit)
+        for member in [PellSolution(17, 6), PellSolution(-99, 35)]:
+            cls = PellClass(PellProblem(8, 1), member, unit)
             assert list(islice(cls.solutions(), 4)) == unit_sequence(8, 4)
             assert cls.nonnegative(35) == unit_sequence(8, 4)
             assert list(islice(cls.walk(), 3)) == [(1, 0), (3, 1), (17, 6)]
         # the class of (0, 1) of x^2 - 2*y^2 = -2, built on (-24, 17)
-        cls = PellClass(PellProblem(2, -2), PellSolution(24, 17), -1, fundamental_solution(2))
+        cls = PellClass(PellProblem(2, -2), PellSolution(-24, 17), fundamental_solution(2))
         assert list(islice(cls.walk(), 3)) == [(0, 1), (4, 3), (24, 17)]
+
+    @given(
+        st.sampled_from(NONSQUARE_D),
+        st.integers(min_value=-(10**4), max_value=10**4).filter(lambda n: n != 0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_class_built_on_any_member_equals_the_solved_class(self, D, N):
+        problem = PellProblem(D, N)
+        for cls in solve_general(problem):
+            x, y = cls.rep.x, cls.rep.y
+            x1, y1 = cls.unit.x, cls.unit.y
+            members = list(islice(cls.walk(), 4))
+            members += [(-u, -v) for u, v in members]
+            members.append((x * x1 - D * y * y1, y * x1 - x * y1))  # rep / unit
+            for u, v in members:
+                assert PellClass(problem, PellSolution(u, v), cls.unit) == cls
 
 
 class TestSolveGeneral:
@@ -204,7 +219,7 @@ class TestSolveGeneral:
         # D=5, N=-4: three classes, including (4, 2) which a base-solution
         # bound tied to the N<0 branch alone would miss.
         classes = solve_general(PellProblem(5, -4))
-        reps = {(c.x_sign * c.base.x, c.base.y) for c in classes}
+        reps = {(c.rep.x, c.rep.y) for c in classes}
         assert reps == {(1, 1), (-1, 1), (4, 2)}
         union = set()
         for c in classes:
@@ -212,10 +227,7 @@ class TestSolveGeneral:
         assert union == {(1, 1), (4, 2), (11, 5), (29, 13), (76, 34), (199, 89)}
 
     def test_mirrored_representatives_both_kept(self):
-        reps = {
-            (c.x_sign * c.base.x, c.base.y)
-            for c in solve_general(PellProblem(2, 7))
-        }
+        reps = {(c.rep.x, c.rep.y) for c in solve_general(PellProblem(2, 7))}
         assert reps == {(3, 1), (-3, 1)}
 
     @pytest.mark.parametrize(
@@ -228,7 +240,7 @@ class TestSolveGeneral:
         red = reduce_pair(a, b, k)
         classes = solve_general(PellProblem(red.D, red.N))
         assert len(classes) == count
-        reps = [(c.x_sign * c.base.x, c.base.y) for c in classes]
+        reps = [(c.rep.x, c.rep.y) for c in classes]
         assert len(set(reps)) == count
         assert reps == sorted(reps, key=lambda r: (r[1], r[0] < 0))
 
@@ -243,16 +255,17 @@ class TestSolveGeneral:
         st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_base_is_least_member_of_its_class(self, D, N):
+    def test_rep_is_least_member_of_its_class(self, D, N):
         # |y| along rep * unit**n falls and then rises, so no smaller |y|
-        # one unit step away means base has the least y >= 0 of its class
+        # one unit step away means rep has the least y >= 0 of its class
         for cls in solve_general(PellProblem(D, N)):
-            x, y = cls.x_sign * cls.base.x, cls.base.y
+            x, y = cls.rep.x, cls.rep.y
             x1, y1 = cls.unit.x, cls.unit.y
+            assert y >= 0
             for v in (x * y1 + y * x1, y * x1 - x * y1):
-                assert abs(v) >= cls.base.y
-                if abs(v) == cls.base.y:
-                    assert cls.x_sign == 1
+                assert abs(v) >= y
+                if abs(v) == y:
+                    assert x >= 0
 
     @given(
         st.sampled_from([D for D in range(2, 40) if is_perfect_square(D) is None]),
@@ -265,8 +278,7 @@ class TestSolveGeneral:
         for cls in solve_general(PellProblem(D, N)):
             got.update((s.x, s.y) for s in cls.nonnegative(500))
             # the walk meets the class's part of the window first, in order
-            rep = (cls.x_sign * cls.base.x, cls.base.y)
-            expected = [s for s in window if _same_class(D, N, *s, *rep)]
+            expected = [s for s in window if _same_class(D, N, *s, cls.rep.x, cls.rep.y)]
             first = list(islice(cls.solutions(), len(expected) + 1))
             assert [(s.x, s.y) for s in first[:-1]] == expected
             assert first[-1].y > 500
@@ -283,7 +295,7 @@ class TestSolveGeneral:
         # in |y|, such as (x1, y1) and (x1, -y1) of the class of (1, 0)
         for cls in solve_general(PellProblem(D, N)):
             first = list(islice(cls.solutions(), 12))
-            assert first[0] == cls.base or cls.x_sign == -1
+            assert first[0] == cls.rep or cls.rep.x < 0
             assert all(s.x >= 0 and s.x * s.x - D * s.y * s.y == N for s in first)
             assert all(s.y < t.y for s, t in zip(first, first[1:]))
 
