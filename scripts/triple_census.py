@@ -39,6 +39,12 @@ def main(argv=None):
     parser.add_argument("--show", type=int, default=3,
                         help="certified examples to print per k")
     args = parser.parse_args(argv)
+    # checked before the settings line, so a bad bound prints nothing else
+    for flag, value, least in [("--bound-index", args.bound_index, 0),
+                               ("--max-modulus", args.max_modulus, 2)]:
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     try:
         return _census(args)
     except ValueError as exc:

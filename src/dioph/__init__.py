@@ -7,6 +7,7 @@ from .extension import (
     ModularCertificate,
     SearchReport,
     brute_force_search,
+    certify,
     find_certificate,
     pell_extension_search,
     search_and_certify,
@@ -23,7 +24,6 @@ from .pell import (
     unit_sequence,
 )
 from .tuples import (
-    ConditionWitness,
     DiophTuple,
     PairCheck,
     PairReduction,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CFExpansion",
-    "ConditionWitness",
     "DiophTuple",
     "ExtensionCandidate",
     "ModularCertificate",
@@ -52,6 +51,7 @@ __all__ = [
     "SearchReport",
     "VerificationReport",
     "brute_force_search",
+    "certify",
     "enumerate_triples",
     "find_certificate",
     "fundamental_solution",

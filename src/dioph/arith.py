@@ -34,27 +34,31 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def legendre(a: int, p: int, *, assume_prime: bool = False) -> int:
+def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
 
     Returns 0 when p divides a, +1 when a is a nonzero quadratic residue
     mod p, and -1 otherwise.  a may be negative; it is reduced mod p first.
 
-    p is validated by factorize.  A p it cannot factor (one that leaves a
-    cofactor above TRIAL_DIVISION_BOUND**2) is rejected unless the caller
-    passes assume_prime=True; even then, a composite p is still reported
-    whenever the criterion produces a value outside {1, p-1}.
+    p is validated by factorize, so a p it cannot factor (one that leaves a
+    cofactor above TRIAL_DIVISION_BOUND**2) is rejected like a composite.
     """
-    _check_odd_prime(p, assume_prime)
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"{p} is not an odd prime")
+    try:
+        factors = factorize(p)
+    except ValueError:
+        raise ValueError(
+            f"cannot verify primality of {p} by trial division up to "
+            f"{TRIAL_DIVISION_BOUND}"
+        ) from None
+    if factors != [(p, 1)]:
+        raise ValueError(f"{p} is composite ({factors[0][0]} divides it)")
     a %= p
     if a == 0:
         return 0
-    e = pow(a, (p - 1) // 2, p)
-    if e == 1:
-        return 1
-    if e == p - 1:
-        return -1
-    raise ValueError(f"{p} fails Euler's criterion and cannot be prime")
+    # p is prime, so the criterion gives 1 or p - 1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -86,18 +90,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         factors.append((n, 1))
     return factors
 
-
-def _check_odd_prime(p: int, assume_prime: bool) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"{p} is not an odd prime")
-    if assume_prime:
-        return
-    try:
-        factors = factorize(p)
-    except ValueError:
-        raise ValueError(
-            f"cannot verify primality of {p} by trial division up to "
-            f"{TRIAL_DIVISION_BOUND}; pass assume_prime=True to assert it"
-        ) from None
-    if factors != [(p, 1)]:
-        raise ValueError(f"{p} is composite ({factors[0][0]} divides it)")

@@ -5,15 +5,16 @@ Subcommands: verify, classify, extend, pell, obstruct.  Every command takes
 indent, integers only) so that parse + re-render is byte-identical.
 
 Exit codes: 0 pass/extended, 1 property fails, 2 usage or invalid input,
-3 certified non-extendable, 4 inconclusive below the search bounds.
+3 certified non-extendable, 4 inconclusive below the search bounds, 141
+when the reader of stdout goes away first (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import replace
 from itertools import islice
 
 from .extension import (
@@ -23,7 +24,7 @@ from .extension import (
     ModularCertificate,
     SearchReport,
     brute_force_search,
-    find_certificate,
+    certify,
     search_and_certify,
 )
 from .pell import PellProblem, fundamental_solution, solve_general, unit_sequence
@@ -47,10 +48,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (dioph ... | head): drop the rest of the
+        # output, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,11 +178,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
     t = _parse_tuple(args)
     if args.strategy == "brute":
-        report = brute_force_search(t, args.max_m)
-        if report.verdict != VERDICT_EXTENDED:
-            cert = find_certificate(t, args.max_modulus)
-            if cert is not None:
-                report = replace(report, certificate=cert)
+        report = certify(brute_force_search(t, args.max_m), args.max_modulus)
     else:
         report = search_and_certify(t, args.bound_index, args.max_modulus)
     if args.output == "json":
@@ -195,7 +201,7 @@ def _report_payload(report: SearchReport) -> dict:
             {
                 "m": c.m,
                 "complete": c.complete,
-                "witnesses": {str(w.element): w.root for w in c.witnesses},
+                "witnesses": {str(e): r for e, r in c.roots.items()},
             }
             for c in report.candidates
         ],
@@ -221,7 +227,7 @@ def _print_report(report: SearchReport) -> None:
     bound_kind = "unit-index" if report.strategy == "pell_sequence" else "m"
     print(f"strategy {report.strategy}, {bound_kind} bound {report.bound}")
     for c in report.candidates:
-        roots = ", ".join(f"{w.element}->{w.root}" for w in c.witnesses)
+        roots = ", ".join(f"{e}->{r}" for e, r in c.roots.items())
         status = "extends the triple" if c.complete else "fails the third condition"
         print(f"  m={c.m}: roots {roots}; {status}")
     if report.self_hits:

@@ -9,9 +9,10 @@ Two search strategies produce candidate fourth elements m:
   smallest element a, up to a bound on m; it is the oracle the Pell route
   is measured against.
 
-When no complete candidate exists, ``find_certificate`` looks for a modulus
-M at which the three allowed residue sets for m have empty intersection: a
-finite, machine-checkable proof that no extension exists at all.  It tries
+When no complete candidate exists, ``find_certificate`` (which ``certify``
+attaches to a search report) looks for a modulus M at which the three
+allowed residue sets for m have empty intersection: a finite,
+machine-checkable proof that no extension exists at all.  It tries
 only the prime powers that can certify: powers of 2, of the odd primes
 below 17 and of the odd primes dividing both k and an element.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
@@ -26,7 +27,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
-from .tuples import ConditionWitness, DiophTuple, reduce_pair, square_points, verify
+from .tuples import DiophTuple, reduce_pair, square_points, verify
 
 __all__ = [
     "ExtensionCandidate",
@@ -36,6 +37,7 @@ __all__ = [
     "brute_force_search",
     "find_certificate",
     "verify_certificate",
+    "certify",
     "search_and_certify",
 ]
 
@@ -48,14 +50,17 @@ VERDICT_CERTIFIED = "certified_non_extendable"
 class ExtensionCandidate:
     """A positive m satisfying at least the two reduced conditions.
 
-    witnesses holds one entry per satisfied condition, in element order;
-    complete means all three conditions hold, i.e. m genuinely extends the
-    triple.
+    roots maps each element e whose condition holds to the square root of
+    e*m + k, in element order; complete means all three conditions hold,
+    i.e. m genuinely extends the triple.
     """
 
     m: int
-    witnesses: tuple[ConditionWitness, ...]
-    complete: bool
+    roots: dict[int, int]
+
+    @property
+    def complete(self) -> bool:
+        return len(self.roots) == 3
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     _require_verified_triple(t)
-    a, b, c = t.elements
+    a, b, _ = t.elements
     red = reduce_pair(a, b, t.k)
     solutions: list[tuple[int, int]] = []
     if is_perfect_square(red.D) is not None:
@@ -137,19 +142,20 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
             continue
         if m in t.elements:
             self_hits.add(m)
-            continue
-        if m in found:
-            continue
-        witnesses = [
-            ConditionWitness(a, m, X // b),
-            ConditionWitness(b, m, Y),
-        ]
-        root_c = is_perfect_square(c * m + t.k)
-        if root_c is not None:
-            witnesses.append(ConditionWitness(c, m, root_c))
-        found[m] = ExtensionCandidate(m, tuple(witnesses), root_c is not None)
+        elif m not in found:
+            found[m] = _candidate(t, m, X // b, Y)
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
+
+
+def _candidate(t: DiophTuple, m: int, ra: int, rb: int) -> ExtensionCandidate:
+    # ra and rb are the roots of a*m + k and b*m + k; c*m + k is tested here
+    a, b, c = t.elements
+    roots = {a: ra, b: rb}
+    rc = is_perfect_square(c * m + t.k)
+    if rc is not None:
+        roots[c] = rc
+    return ExtensionCandidate(m, roots)
 
 
 def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
@@ -182,7 +188,7 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     _require_verified_triple(t)
-    a, b, c = t.elements
+    a, b, _ = t.elements
     k = t.k
     found = []
     hits = []
@@ -194,14 +200,9 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
             # same diagnostic the pair-reduction strategy emits
             hits.append(m)
             continue
-        rc = is_perfect_square(c * m + k)
-        if rc is not None:
-            witnesses = (
-                ConditionWitness(a, m, ra),
-                ConditionWitness(b, m, rb),
-                ConditionWitness(c, m, rc),
-            )
-            found.append(ExtensionCandidate(m, witnesses, True))
+        candidate = _candidate(t, m, ra, rb)
+        if candidate.complete:
+            found.append(candidate)
     found.sort(key=lambda cand: cand.m)
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(sorted(hits)))
 
@@ -344,18 +345,29 @@ def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
     return not common
 
 
+def certify(report: SearchReport, max_modulus: int) -> SearchReport:
+    """report with find_certificate's certificate attached, if one exists.
+
+    A report that extends its triple comes back unchanged; max_modulus < 2
+    raises ValueError either way.
+    """
+    if max_modulus < 2:
+        raise ValueError("max_modulus must be >= 2")
+    if report.verdict == VERDICT_EXTENDED:
+        return report
+    cert = find_certificate(report.triple, max_modulus)
+    return report if cert is None else replace(report, certificate=cert)
+
+
 def search_and_certify(
     t: DiophTuple,
     max_index: int = 30,
     max_modulus: int = 10**5,
 ) -> SearchReport:
-    """Pell search first; when nothing extends, attempt a certificate."""
+    """Pell search first; when nothing extends, attempt a certificate.
+
+    max_modulus is checked before the walk, so a bad cap fails fast.
+    """
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
-    report = pell_extension_search(t, max_index)
-    if report.verdict == VERDICT_EXTENDED:
-        return report
-    cert = find_certificate(t, max_modulus)
-    if cert is not None:
-        report = replace(report, certificate=cert)
-    return report
+    return certify(pell_extension_search(t, max_index), max_modulus)

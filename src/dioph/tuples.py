@@ -21,7 +21,6 @@ __all__ = [
     "PairCheck",
     "VerificationReport",
     "PairReduction",
-    "ConditionWitness",
     "verify",
     "enumerate_triples",
     "square_points",
@@ -166,15 +165,6 @@ def is_regular(t: DiophTuple) -> bool:
         raise ValueError(f"regularity is defined for triples, got size {t.size}")
     a, b, c = t.elements
     return (c - b - a) ** 2 == 4 * (a * b + t.k)
-
-
-@dataclass(frozen=True)
-class ConditionWitness:
-    """element * m + k = root**2."""
-
-    element: int
-    m: int
-    root: int
 
 
 @dataclass(frozen=True)

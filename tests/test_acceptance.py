@@ -126,7 +126,7 @@ def test_criterion_4_positive_control(capsys):
         report = pell_extension_search(t, 10)
         complete = [c for c in report.candidates if c.complete]
         assert [c.m for c in complete] == [120]
-        assert [(w.element, w.root) for w in complete[0].witnesses] == [
+        assert list(complete[0].roots.items()) == [
             (1, 11),
             (3, 19),
             (8, 31),

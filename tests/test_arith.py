@@ -115,18 +115,10 @@ class TestLegendre:
         assert legendre(5, 10**9 + 7) == -1
         assert legendre(4, 10**9 + 7) == 1
 
-    def test_large_unverified_modulus_needs_flag(self):
+    def test_large_unverified_modulus_is_rejected(self):
         p = 10**13 + 37
         with pytest.raises(ValueError):
             legendre(2, p)
-        assert legendre(2, p, assume_prime=True) == -1
-        assert legendre(4, p, assume_prime=True) == 1
-
-    def test_assume_prime_still_catches_euler_failures(self):
-        # 2^7 = 128 = 8 mod 15, neither 1 nor 14: the criterion itself
-        # exposes the composite even when primality checking is skipped.
-        with pytest.raises(ValueError):
-            legendre(2, 10**12 + 15, assume_prime=True)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_multiplicative_exhaustive(self, p):

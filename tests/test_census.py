@@ -16,6 +16,7 @@ def test_default_run_totals(capsys):
 @pytest.mark.parametrize("argv", [["--bound-index", "-1"], ["--max-modulus", "1"]])
 def test_bad_bound_is_usage_error(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]} must be >= ")
     assert len(err.splitlines()) == 1

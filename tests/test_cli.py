@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +272,29 @@ class TestObstructCommand:
         code, _, err = run(capsys, "obstruct", "--k", "2", "--prime", "4")
         assert code == 2
         assert "not an odd prime" in err
+
+    def test_unverifiable_prime_is_usage_error(self, capsys):
+        # 10^12 + 39 is prime, but above the trial-division reach
+        code, out, err = run(capsys, "obstruct", "--k", "2", "--prime", "1000000000039")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cannot verify primality of 1000000000039 by trial division up to 1000000\n"
+        )
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 3 MB of output, more than any pipe buffer holds, so the write
+    # after the reader has gone always fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "2000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"x^2 - 2*y^2 = 1")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
 
 
 # D(k) triples with small elements, so that the fuzzed extend runs reach

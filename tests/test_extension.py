@@ -17,6 +17,7 @@ from dioph.extension import (
     _is_square_mod_prime_power,
     _square_discriminant_solutions,
     brute_force_search,
+    certify,
     find_certificate,
     pell_extension_search,
     search_and_certify,
@@ -24,7 +25,6 @@ from dioph.extension import (
 )
 from dioph.pell import PellProblem, solve_general
 from dioph.tuples import (
-    ConditionWitness,
     DiophTuple,
     enumerate_triples,
     reduce_pair,
@@ -93,13 +93,22 @@ def reference_pell_walk(t, max_index):
             continue
         if m in found:
             continue
-        witnesses = [ConditionWitness(a, m, X // b), ConditionWitness(b, m, Y)]
+        roots = {a: X // b, b: Y}
         root_c = is_perfect_square(c * m + t.k)
         if root_c is not None:
-            witnesses.append(ConditionWitness(c, m, root_c))
-        found[m] = ExtensionCandidate(m, tuple(witnesses), root_c is not None)
+            roots[c] = root_c
+        found[m] = ExtensionCandidate(m, roots)
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
+
+
+def assert_roots_name_the_conditions_that_hold(report):
+    """Each candidate's roots hold for a and b, and for c exactly when complete."""
+    a, b, c = report.triple.elements
+    for cand in report.candidates:
+        assert list(cand.roots) == ([a, b, c] if cand.complete else [a, b]), cand
+        for e, r in cand.roots.items():
+            assert r * r == e * cand.m + report.triple.k, (e, cand)
 
 
 def small_dk_triples(seed, count):
@@ -147,12 +156,7 @@ def reference_brute_force(t, max_m):
             continue
         rc = is_perfect_square(c * m + t.k)
         if rc is not None:
-            witnesses = (
-                ConditionWitness(a, m, ra),
-                ConditionWitness(b, m, rb),
-                ConditionWitness(c, m, rc),
-            )
-            found.append(ExtensionCandidate(m, witnesses, True))
+            found.append(ExtensionCandidate(m, {a: ra, b: rb, c: rc}))
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(hits))
 
 
@@ -175,10 +179,8 @@ class TestPellExtensionSearch:
         assert ms[:4] == [1, 47561, 1615681, 1864494721]
         assert all(not c.complete for c in report.candidates)
         first = report.candidates[0]
-        assert [(w.element, w.root) for w in first.witnesses] == [(7, 3), (14, 4)]
-        for c in report.candidates:
-            for w in c.witnesses:
-                assert w.root * w.root == w.element * w.m + 2
+        assert list(first.roots.items()) == [(7, 3), (14, 4)]
+        assert_roots_name_the_conditions_that_hold(report)
 
     def test_positive_control_1_3_8(self):
         report = pell_extension_search(T_1_3_8, 10)
@@ -186,7 +188,7 @@ class TestPellExtensionSearch:
         assert report.verdict == VERDICT_EXTENDED
         complete = [c for c in report.candidates if c.complete]
         assert [c.m for c in complete] == [120]
-        assert [(w.element, w.root) for w in complete[0].witnesses] == [
+        assert list(complete[0].roots.items()) == [
             (1, 11),
             (3, 19),
             (8, 31),
@@ -199,7 +201,7 @@ class TestPellExtensionSearch:
         assert report.self_hits == (13,)
         ms = [c.m for c in report.candidates]
         assert ms[:3] == [1, 2353, 456301]
-        assert [(w.element, w.root) for w in report.candidates[0].witnesses] == [
+        assert list(report.candidates[0].roots.items()) == [
             (3, 0),
             (4, 1),
         ]
@@ -228,8 +230,7 @@ class TestPellExtensionSearch:
         report = pell_extension_search(DiophTuple(elements, k), 30)
         candidate = {c.m: c for c in report.candidates}[m]
         assert not candidate.complete
-        for w in candidate.witnesses:
-            assert w.root * w.root == w.element * m + k
+        assert_roots_name_the_conditions_that_hold(report)
 
     def test_huge_square_discriminant_triple(self):
         # a*b = 999983^2 and |k*b*(b-a)| is about 2*10^30: the divisor pairs
@@ -238,9 +239,8 @@ class TestPellExtensionSearch:
         report = pell_extension_search(t, 30)
         assert report.self_hits == (999968000258,)
         assert [c.m for c in report.candidates] == [999964000322]
+        assert_roots_name_the_conditions_that_hold(report)
         for c in report.candidates:
-            for w in c.witnesses:
-                assert w.root * w.root == w.element * c.m + t.k
             if c.complete:
                 assert verify(DiophTuple(t.elements + (c.m,), t.k)).ok
 
@@ -287,7 +287,9 @@ class TestPellExtensionSearch:
                         kinds.add("y = 0")
                     if abs(unit_step(red.D, cls.unit, x, y, -1)[1]) == y > 0:
                         kinds.add("tie")
-            assert pell_extension_search(t, index) == reference_pell_walk(t, index), t
+            report = pell_extension_search(t, index)
+            assert report == reference_pell_walk(t, index), t
+            assert_roots_name_the_conditions_that_hold(report)
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
 
@@ -342,7 +344,9 @@ class TestBruteForceSearch:
         report = brute_force_search(DiophTuple((5, 13, 24), -56), 100)
         assert [c.m for c in report.candidates] == [45, 69]
         for t, max_m in cases:
-            assert brute_force_search(t, max_m) == reference_brute_force(t, max_m), (t, max_m)
+            report = brute_force_search(t, max_m)
+            assert report == reference_brute_force(t, max_m), (t, max_m)
+            assert_roots_name_the_conditions_that_hold(report)
 
     def test_huge_smallest_element_costs_at_most_max_m(self):
         # a*(a+2) + 1, a*(4a+4) + 1 and (a+2)*(4a+4) + 1 are squares; the
@@ -555,6 +559,21 @@ class TestSearchAndCertify:
             search_and_certify(T_1_3_8, 30, max_modulus)
         with pytest.raises(ValueError, match="max_modulus must be >= 2"):
             search_and_certify(T_1_3_8, -1, max_modulus)
+        # certify rejects it too, whatever the verdict
+        for report in (pell_extension_search(T_1_3_8, 30), brute_force_search(T_7_14_41, 100)):
+            with pytest.raises(ValueError, match="max_modulus must be >= 2"):
+                certify(report, max_modulus)
+
+    def test_certify_leaves_an_extended_report_unchanged(self):
+        report = pell_extension_search(T_1_3_8, 30)
+        assert certify(report, 300) is report
+
+    def test_certify_attaches_a_certificate_to_a_brute_force_report(self):
+        report = certify(brute_force_search(T_7_14_41, 10**4), 10**4)
+        assert report.strategy == "brute_force"
+        assert report.verdict == VERDICT_CERTIFIED
+        assert report.certificate == find_certificate(T_7_14_41, 10**4)
+        assert report.certificate.modulus == 4
 
     def test_bounded_when_certificate_out_of_reach(self):
         report = search_and_certify(T_7_14_41, max_index=10, max_modulus=3)
