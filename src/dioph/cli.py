@@ -1,12 +1,13 @@
 """Command line front end.
 
-Subcommands: verify, classify, extend, pell, obstruct.  Every command takes
---output text|json; JSON is emitted canonically (sorted keys, two-space
-indent, integers only) so that parse + re-render is byte-identical.
+Subcommands: verify, classify, extend, pell, obstruct, census.  All but
+census take --output text|json; JSON is emitted canonically (sorted keys,
+two-space indent, integers only) so that parse + re-render is byte-identical.
+census tallies search_and_certify's verdicts over every small D(k) triple.
 
-Exit codes: 0 pass/extended, 1 property fails, 2 usage or invalid input,
-3 certified non-extendable, 4 inconclusive below the search bounds, 141
-when the reader of stdout goes away first (128 + SIGPIPE).
+Exit codes: 0 pass/extended/census done, 1 property fails, 2 usage or
+invalid input, 3 certified non-extendable, 4 inconclusive below the search
+bounds, 141 when the reader of stdout goes away first (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+import time
+from collections import Counter
 from itertools import islice
 
 from .extension import (
@@ -28,7 +31,7 @@ from .extension import (
     search_and_certify,
 )
 from .pell import PellProblem, fundamental_solution, solve_general, unit_sequence
-from .tuples import DiophTuple, is_regular, mod4_quadruple_obstruction, verify
+from .tuples import DiophTuple, enumerate_triples, is_regular, mod4_quadruple_obstruction, verify
 from .arith import legendre
 
 __all__ = ["main"]
@@ -106,6 +109,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_arg(p)
     p.set_defaults(func=_cmd_obstruct)
 
+    p = sub.add_parser("census", help="tally the verdicts over every small D(k) triple")
+    p.add_argument("--limit", type=int, default=150,
+                   help="largest element to consider (default 150)")
+    p.add_argument("--k-min", type=int, default=-5)
+    p.add_argument("--k-max", type=int, default=5)
+    p.add_argument("--bound-index", type=int, default=15,
+                   help="unit-index depth of the extension search (default 15)")
+    p.add_argument("--max-modulus", type=int, default=512,
+                   help="certificate modulus cap (default 512)")
+    p.add_argument("--show", type=int, default=3,
+                   help="certified examples to print per k (default 3)")
+    p.set_defaults(func=_cmd_census)
+
     return parser
 
 
@@ -125,6 +141,13 @@ def _parse_tuple(args: argparse.Namespace) -> DiophTuple:
     except ValueError:
         raise ValueError(f"cannot parse --set {args.set!r} as integers") from None
     return DiophTuple(elements, args.k)
+
+
+def _check_bounds(args: argparse.Namespace, **least: int) -> None:
+    # callers run this before any output, so a bad bound prints only the error
+    for name, floor in least.items():
+        if getattr(args, name) < floor:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {floor}")
 
 
 def _canonical_json(payload: dict) -> str:
@@ -173,9 +196,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_extend(args: argparse.Namespace) -> int:
     # every bound is checked, whichever strategy runs
-    for name, least in [("bound_index", 0), ("max_m", 1), ("max_modulus", 2)]:
-        if getattr(args, name) < least:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+    _check_bounds(args, bound_index=0, max_m=1, max_modulus=2)
     t = _parse_tuple(args)
     if args.strategy == "brute":
         report = certify(brute_force_search(t, args.max_m), args.max_modulus)
@@ -243,8 +264,7 @@ def _print_report(report: SearchReport) -> None:
 
 
 def _cmd_pell(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    _check_bounds(args, count=1)
     fund = fundamental_solution(args.d)
     coefficient = 2 * fund.x
     payload = {
@@ -311,6 +331,52 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
         else:
             print(f"k={args.k} != 2 (mod 4): no mod-4 quadruple obstruction")
     return 0 if excluded else 1
+
+
+# census columns: the key each row counts, and its heading
+_CENSUS_COLUMNS = {"triples": "triples", "regular": "regular", VERDICT_EXTENDED: "extended",
+                   VERDICT_CERTIFIED: "certified", VERDICT_BOUNDED: "bounded"}
+
+
+def _census_row(label: int | str, cells: dict) -> str:
+    # the heading line is the row of the headings themselves
+    return f"{label:>4}" + "".join(
+        f"  {cells[key]:>{len(heading) + 1}}" for key, heading in _CENSUS_COLUMNS.items()
+    )
+
+
+def _cmd_census(args: argparse.Namespace) -> int:
+    _check_bounds(args, bound_index=0, max_modulus=2)
+    start = time.perf_counter()
+    print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "
+          f"search depth {args.bound_index}, modulus cap {args.max_modulus}\n")
+    header = _census_row("k", _CENSUS_COLUMNS)
+    print(header)
+    print("-" * len(header))
+    grand = Counter()
+    for k in range(args.k_min, args.k_max + 1):
+        if k == 0:
+            continue
+        counts = Counter()
+        examples = []
+        for elements in enumerate_triples(args.limit, k):
+            t = DiophTuple(elements, k)
+            counts["triples"] += 1
+            counts["regular"] += is_regular(t)
+            report = search_and_certify(t, args.bound_index, args.max_modulus)
+            counts[report.verdict] += 1
+            if report.certificate and len(examples) < args.show:
+                examples.append((elements, report.certificate.modulus))
+        print(_census_row(k, counts))
+        for elements, modulus in examples:
+            print(f"      certified: {elements} at modulus {modulus}")
+        if mod4_quadruple_obstruction(k):
+            print(f"      note: k = 2 (mod 4), so no D({k}) quadruple exists at all")
+        grand.update(counts)
+    print("-" * len(header))
+    print(_census_row("all", grand))
+    print(f"\n{time.perf_counter() - start:.1f}s")
+    return 0
 
 
 if __name__ == "__main__":

@@ -262,6 +262,11 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
     _require_verified_triple(t)
+    return _scan_moduli(t, max_modulus)
+
+
+def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
+    # find_certificate's scan, for a D(k) triple that is already verified
     e1, e2, e3 = t.elements
     k = t.k
     square = _is_square_mod_prime_power
@@ -349,13 +354,14 @@ def certify(report: SearchReport, max_modulus: int) -> SearchReport:
     """report with find_certificate's certificate attached, if one exists.
 
     A report that extends its triple comes back unchanged; max_modulus < 2
-    raises ValueError either way.
+    raises ValueError either way.  The search that made the report has
+    verified its triple, so it is not verified again here.
     """
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
     if report.verdict == VERDICT_EXTENDED:
         return report
-    cert = find_certificate(report.triple, max_modulus)
+    cert = _scan_moduli(report.triple, max_modulus)
     return report if cert is None else replace(report, certificate=cert)
 
 

@@ -297,6 +297,22 @@ def test_closed_stdout_exits_141_without_traceback():
     assert b"Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [["scripts/triple_census.py"], ["-m", "dioph", "census"]])
+def test_census_closed_stdout_exits_141_without_traceback(entry):
+    # about 450 KB of rows; block-buffered stdout, as in a pipeline
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, *entry, "--limit", "12", "--k-min", "-3000", "--k-max", "3000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, cwd=root) as proc:
+        assert proc.stdout.readline().startswith(b"elements <= 12, k in [-3000, 3000]")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+
+
 # D(k) triples with small elements, so that the fuzzed extend runs reach
 # the Pell walk, brute force and the certificate search
 DK_TRIPLES = [
@@ -349,6 +365,19 @@ FUZZED_ARGV = st.one_of(
         st.integers(min_value=-10, max_value=200),
         OUTPUT,
     ).map(lambda c: ["obstruct", f"--k={c[0]}", f"--prime={c[1]}", "--output", c[2]]),
+    st.tuples(
+        st.integers(min_value=-2, max_value=25),
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-2, max_value=6),
+        st.integers(min_value=-2, max_value=600),
+        st.integers(min_value=-1, max_value=4),
+    ).map(
+        lambda c: [
+            "census", f"--limit={c[0]}", f"--k-min={c[1]}", f"--k-max={c[2]}",
+            f"--bound-index={c[3]}", f"--max-modulus={c[4]}", f"--show={c[5]}",
+        ]
+    ),
     st.lists(st.text(max_size=10), max_size=5),
 )
 

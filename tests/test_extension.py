@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 
 from dioph.arith import is_perfect_square
+from dioph.cli import main as cli_main
 from dioph.extension import (
     VERDICT_BOUNDED,
     VERDICT_CERTIFIED,
@@ -367,6 +368,15 @@ class TestBruteForceSearch:
 
 
 class TestFindCertificate:
+    def test_rejects_a_non_dk_triple_and_a_cap_below_two(self):
+        with pytest.raises(ValueError, match=r"7\*40\+2 = 282"):
+            find_certificate(DiophTuple((7, 14, 40), 2), 10**4)
+        with pytest.raises(ValueError, match="needs a triple"):
+            find_certificate(DiophTuple((7, 14), 2), 10**4)
+        for cap in (-1, 0, 1):
+            with pytest.raises(ValueError, match="max_modulus must be >= 2"):
+                find_certificate(T_7_14_41, cap)
+
     def test_k2_fixtures_certified_at_modulus_4(self):
         for t in K2_FIXTURES:
             cert = find_certificate(t, 10**4)
@@ -579,3 +589,34 @@ class TestSearchAndCertify:
         report = search_and_certify(T_7_14_41, max_index=10, max_modulus=3)
         assert report.verdict == VERDICT_BOUNDED
         assert report.certificate is None
+
+
+class TestVerifiesOncePerSearch:
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+
+        def counting_verify(t):
+            calls.append(t)
+            return verify(t)
+
+        monkeypatch.setattr("dioph.extension.verify", counting_verify)
+        return calls
+
+    @pytest.mark.parametrize(
+        "t,max_modulus,verdict",
+        [
+            (T_1_3_8, 300, VERDICT_EXTENDED),
+            (T_7_14_41, 10**5, VERDICT_CERTIFIED),
+            (T_7_14_41, 3, VERDICT_BOUNDED),
+        ],
+    )
+    def test_search_and_certify(self, verify_calls, t, max_modulus, verdict):
+        # the certificate scan trusts the triple the search has verified
+        assert search_and_certify(t, 15, max_modulus).verdict == verdict
+        assert verify_calls == [t]
+
+    def test_extend_with_brute_force(self, verify_calls, capsys):
+        argv = ["extend", "--set", "7,14,41", "--k", "2", "--strategy", "brute", "--max-m", "1000"]
+        assert cli_main(argv) == 3
+        assert verify_calls == [T_7_14_41]
