@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd, isqrt
+from typing import Iterator
 
 from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
-from .tuples import DiophTuple, reduce_pair, square_points, verify
+from .tuples import DiophTuple, PairReduction, reduce_pair, square_points, verify
 
 __all__ = [
     "ExtensionCandidate",
@@ -112,10 +113,19 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
     k*b*(b-a); every solution class (solve_general finds them all) is walked
     forwards max_index unit-multiplications from its member of least |Y|
-    (PellClass.walk).  Each member yields m = (x^2 - k)/a when integral;
-    m <= 0 is discarded, m equal to an existing element is reported as a
-    self-hit, and every other m becomes a candidate whose third condition
-    c*m + k is then tested.
+    (PellClass.walk).  Each member yields m = (x^2 - k)/a with x = X/b when
+    both divisions are exact; m <= 0 is discarded, m equal to an existing
+    element is reported as a self-hit, and every other m becomes a
+    candidate whose third condition c*m + k is then tested.
+
+    Whether b | X and a | x^2 - k is the same for every member of a class,
+    so a class whose least member fails is dead and is skipped unwalked.
+    Proof: with unit (x1, y1), x1^2 = 1 + a*b*y1^2, so x1^2 = 1 (mod ab).
+    The next member is X' = x1*X + a*b*y1*Y = x1*X (mod b), and x1 is
+    invertible mod b, so b | X' exactly when b | X.  Then x' = X'/b =
+    x1*x + a*y1*Y = x1*x (mod a), so x'^2 = x^2 (mod a).  Members of a
+    live class need no further check: b*m + k = Y^2 follows from the
+    reduced equation (PairReduction.recover_m).
 
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions, which are enumerated outright.  Either way
@@ -126,26 +136,35 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
         raise ValueError("max_index must be >= 0")
     _require_verified_triple(t)
     a, b, _ = t.elements
-    red = reduce_pair(a, b, t.k)
-    solutions: list[tuple[int, int]] = []
-    if is_perfect_square(red.D) is not None:
-        solutions = _square_discriminant_solutions(red.D, red.N)
-    else:
-        for cls in solve_general(PellProblem(red.D, red.N)):
-            for u, v in islice(cls.walk(), max_index + 1):
-                solutions.append((abs(u), abs(v)))
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
-    for X, Y in solutions:
-        m = red.recover_m(X, Y)
-        if m is None or m <= 0:
+    for m, ra, rb in _reduced_points(reduce_pair(a, b, t.k), max_index):
+        if m <= 0:
             continue
         if m in t.elements:
             self_hits.add(m)
         elif m not in found:
-            found[m] = _candidate(t, m, X // b, Y)
+            found[m] = _candidate(t, m, ra, rb)
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
+
+
+def _reduced_points(red: PairReduction, max_index: int) -> Iterator[tuple[int, int, int]]:
+    # (m, root of a*m + k, root of b*m + k) for each solution of red's
+    # equation that yields an integral m, per pell_extension_search
+    a, b, k = red.a, red.b, red.k
+    if is_perfect_square(red.D) is not None:
+        for X, Y in _square_discriminant_solutions(red.D, red.N):
+            m = red.recover_m(X, Y)
+            if m is not None:
+                yield m, X // b, Y
+        return
+    for cls in solve_general(PellProblem(red.D, red.N)):
+        if red.recover_m(cls.rep.x, cls.rep.y) is None:
+            continue  # dead class
+        for u, v in islice(cls.walk(), max_index + 1):
+            x = abs(u) // b
+            yield (x * x - k) // a, x, abs(v)
 
 
 def _candidate(t: DiophTuple, m: int, ra: int, rb: int) -> ExtensionCandidate:

@@ -150,12 +150,12 @@ class PellClass:
         class is its own mirror.  So the first s + 1 members of a class and
         of its mirror meet all members at -s <= n <= s of both.
         """
-        D = self.problem.D
         x1, y1 = self.unit.x, self.unit.y
+        Dy1 = self.problem.D * y1
         u, v = self.rep.x, self.rep.y
         while True:
             yield u, v
-            u, v = u * x1 + v * y1 * D, u * y1 + v * x1
+            u, v = u * x1 + v * Dy1, u * y1 + v * x1
 
     def solutions(self) -> Iterator[PellSolution]:
         """Every solution with x, y >= 0 lying in this class, by increasing y:

@@ -189,6 +189,11 @@ class PairReduction:
         Spurious means X is not divisible by b, or (x^2 - k) is not divisible
         by a, or the recovered m fails the b-condition; genuine solutions of
         the reduced equation produced by an integer m always pass.
+
+        The b-condition cannot fail for a solution of X^2 - D*Y^2 = N: with
+        X = b*x and x^2 = a*m + k, dividing the equation by b gives
+        a*Y^2 = b*x^2 - k*(b - a) = a*(b*m + k).  It is checked anyway,
+        because a caller may pass a point that is not on the curve.
         """
         if X % self.b:
             return None

@@ -1,8 +1,10 @@
+import random
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dioph import arith
 from dioph.arith import TRIAL_DIVISION_BOUND, factorize, is_perfect_square, legendre
 
 
@@ -37,6 +39,26 @@ class TestIsPerfectSquare:
         r = isqrt(n)
         expected = r if r * r == n else None
         assert is_perfect_square(n) == expected
+
+    @pytest.mark.parametrize("q", [256, 63, 65, 11])
+    def test_residue_tables_hold_exactly_the_squares(self, q):
+        table = getattr(arith, f"_SQUARES_MOD_{q}")
+        assert len(table) == q
+        assert {r for r in range(q) if table[r]} == {r * r % q for r in range(q)}
+
+    def test_agrees_with_isqrt_on_a_dense_range(self):
+        for n in range(-10, 2 * 10**6 + 1):
+            r = isqrt(max(n, 0))
+            assert is_perfect_square(n) == (r if r * r == n else None), n
+
+    def test_agrees_with_isqrt_next_to_large_squares(self):
+        # the Pell walk tests c*m + k of about 4100 bits
+        rng = random.Random(13)
+        for bits in range(1, 4097, 7):
+            r = rng.getrandbits(bits) | (1 << (bits - 1))
+            assert is_perfect_square(r * r) == r
+            assert is_perfect_square(r * r + 1) is None
+            assert is_perfect_square(r * r - 1) == (0 if r == 1 else None)
 
 
 class TestFactorize:

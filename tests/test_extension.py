@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -43,6 +44,19 @@ K2_FIXTURES = [
     DiophTuple((41, 239, 478), 2),
     DiophTuple((7, 41, 82), 2),
     DiophTuple((41, 82, 239), 2),
+]
+
+WALK_FIXTURES = K2_FIXTURES + [
+    T_1_3_8,
+    T_3_4_13,
+    T_1_2_7,
+    DiophTuple((1, 4, 11), 5),
+    DiophTuple((7, 83, 138), -5),
+    DiophTuple((1, 61, 78), 3),
+    # classes that are their own mirror, of the three kinds
+    DiophTuple((1, 33, 44), -8),  # x = 0: class (0, 16)
+    DiophTuple((6, 8, 28), 1),  # y = 0: class (4, 0)
+    DiophTuple((2, 4, 6), -8),  # ties the member behind it: class (8, 4)
 ]
 
 
@@ -259,19 +273,7 @@ class TestPellExtensionSearch:
 
     @pytest.mark.parametrize("index", [0, 1, 15, 30])
     def test_matches_walk_over_every_class(self, index):
-        cases = K2_FIXTURES + [
-            T_1_3_8,
-            T_3_4_13,
-            T_1_2_7,
-            DiophTuple((1, 4, 11), 5),
-            DiophTuple((7, 83, 138), -5),
-            DiophTuple((1, 61, 78), 3),
-            # classes that are their own mirror, of the three kinds
-            DiophTuple((1, 33, 44), -8),  # x = 0: class (0, 16)
-            DiophTuple((6, 8, 28), 1),  # y = 0: class (4, 0)
-            DiophTuple((2, 4, 6), -8),  # ties the member behind it: class (8, 4)
-        ]
-        cases += small_dk_triples(6, 40)
+        cases = WALK_FIXTURES + small_dk_triples(6, 40)
         kinds = set()
         for t in cases:
             red = reduce_pair(t.elements[0], t.elements[1], t.k)
@@ -293,6 +295,32 @@ class TestPellExtensionSearch:
             assert_roots_name_the_conditions_that_hold(report)
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
+
+    def test_a_class_yields_m_at_every_member_or_at_none(self):
+        # pell_extension_search skips a class whose rep yields no m; the
+        # default census's triples have 443 such classes among 2400
+        census = [
+            DiophTuple(elements, k)
+            for k in range(-5, 6) if k
+            for elements in enumerate_triples(150, k)
+        ]
+        samples = small_dk_triples(6, 40) + small_dk_triples(11, 40) + small_dk_triples(4, 40)
+        counts = {}
+        for name, cases in [("fixtures", WALK_FIXTURES + samples), ("census", census)]:
+            dead = total = 0
+            for t in cases:
+                red = reduce_pair(t.elements[0], t.elements[1], t.k)
+                if is_perfect_square(red.D) is not None:
+                    continue
+                for cls in solve_general(PellProblem(red.D, red.N)):
+                    live = red.recover_m(cls.rep.x, cls.rep.y) is not None
+                    for u, v in islice(cls.walk(), 31):
+                        assert (red.recover_m(abs(u), abs(v)) is not None) == live, (t, cls)
+                    dead += not live
+                    total += 1
+            counts[name] = (dead, total)
+        assert counts["census"] == (443, 2400)
+        assert 0 < counts["fixtures"][0] < counts["fixtures"][1]
 
 
 class TestBruteForceSearch:
