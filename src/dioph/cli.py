@@ -86,20 +86,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="search for a fourth element, certify if none")
     _add_set_args(p)
     p.add_argument("--bound-index", type=int, default=30,
-                   help="unit multiplications to walk per solution class (default 30)")
+                   help="unit multiplications to walk per solution class (default %(default)s)")
     p.add_argument("--max-m", type=int, default=10**6,
-                   help="ceiling for the brute-force strategy (default 1000000)")
+                   help="ceiling for the brute-force strategy (default %(default)s)")
     p.add_argument("--max-modulus", type=int, default=10**5,
-                   help="largest modulus tried for a certificate (default 100000)")
+                   help="largest modulus tried for a certificate (default %(default)s)")
     p.add_argument("--strategy", choices=["pell", "brute"], default="pell")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("pell", help="fundamental solution and solution classes")
     p.add_argument("--d", type=int, required=True, help="non-square D >= 2")
-    p.add_argument("--n", type=int, default=1, help="right-hand side N (default 1)")
+    p.add_argument("--n", type=int, default=1, help="right-hand side N (default %(default)s)")
     p.add_argument("--count", type=int, default=5,
-                   help="solutions to list per class (default 5)")
+                   help="solutions to list per class (default %(default)s)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_pell)
 
@@ -111,15 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="tally the verdicts over every small D(k) triple")
     p.add_argument("--limit", type=int, default=150,
-                   help="largest element to consider (default 150)")
+                   help="largest element to consider (default %(default)s)")
     p.add_argument("--k-min", type=int, default=-5)
     p.add_argument("--k-max", type=int, default=5)
     p.add_argument("--bound-index", type=int, default=15,
-                   help="unit-index depth of the extension search (default 15)")
+                   help="unit-index depth of the extension search (default %(default)s)")
     p.add_argument("--max-modulus", type=int, default=512,
-                   help="certificate modulus cap (default 512)")
+                   help="certificate modulus cap (default %(default)s)")
     p.add_argument("--show", type=int, default=3,
-                   help="certified examples to print per k (default 3)")
+                   help="certified examples to print per k (default %(default)s)")
     p.set_defaults(func=_cmd_census)
 
     return parser
@@ -308,9 +308,10 @@ def _cmd_pell(args: argparse.Namespace) -> int:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
+    # rejects k = 0 before --prime is checked
+    quadruple = mod4_quadruple_obstruction(args.k)
     symbol = legendre(args.k, args.prime)
     excluded = symbol == -1
-    quadruple = mod4_quadruple_obstruction(args.k)
     if args.output == "json":
         payload = {
             "k": args.k,
@@ -378,6 +379,3 @@ def _cmd_census(args: argparse.Namespace) -> int:
     print(f"\n{time.perf_counter() - start:.1f}s")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _require_shift(k: int) -> None:
+    if k == 0:
+        raise ValueError("the shift k must be nonzero")
+
+
 @dataclass(frozen=True)
 class DiophTuple:
     """Distinct positive integers together with the shift k (k != 0).
@@ -49,8 +54,7 @@ class DiophTuple:
             raise ValueError("elements must be positive")
         if len(set(elements)) != len(elements):
             raise ValueError("elements must be distinct")
-        if self.k == 0:
-            raise ValueError("the shift k must be nonzero")
+        _require_shift(self.k)
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -79,7 +83,6 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    tuple: DiophTuple
     pairs: tuple[PairCheck, ...]
 
     @property
@@ -100,7 +103,7 @@ def verify(t: DiophTuple) -> VerificationReport:
             product = a * b
             shifted = product + t.k
             checks.append(PairCheck(a, b, product, shifted, is_perfect_square(shifted)))
-    return VerificationReport(t, tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
@@ -111,8 +114,7 @@ def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
     limit); a triple is a partner b of a together with a common partner
     c > b of a and b.
     """
-    if k == 0:
-        raise ValueError("the shift k must be nonzero")
+    _require_shift(k)
     partners = {
         a: {b for b, _ in square_points(a, k, limit) if b > a}
         for a in range(1, limit + 1)
@@ -211,8 +213,7 @@ def reduce_pair(a: int, b: int, k: int) -> PairReduction:
     """Reduce the pair of conditions for elements a < b and shift k."""
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    if k == 0:
-        raise ValueError("the shift k must be nonzero")
+    _require_shift(k)
     return PairReduction(a, b, k, a * b, k * b * (b - a))
 
 
@@ -222,6 +223,7 @@ def residue_obstruction(k: int, p: int) -> bool:
     True exactly when (k/p) = -1: then t*m + k with p | t is a non-residue
     mod p, so it is never a perfect square.
     """
+    _require_shift(k)
     return legendre(k, p) == -1
 
 
@@ -231,4 +233,5 @@ def mod4_quadruple_obstruction(k: int) -> bool:
     Squares are 0 or 1 mod 4, so the four pairwise conditions cannot all be
     met; every D(k) triple with such k is non-extendable a priori.
     """
+    _require_shift(k)
     return k % 4 == 2

@@ -273,6 +273,13 @@ class TestObstructCommand:
         assert code == 2
         assert "not an odd prime" in err
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_zero_shift_is_usage_error(self, capsys, output):
+        code, out, err = run(capsys, "obstruct", "--k", "0", "--prime", "3", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the shift k must be nonzero\n"
+
     def test_unverifiable_prime_is_usage_error(self, capsys):
         # 10^12 + 39 is prime, but above the trial-division reach
         code, out, err = run(capsys, "obstruct", "--k", "2", "--prime", "1000000000039")

@@ -171,6 +171,11 @@ class TestPellClass:
         cls = PellClass(PellProblem(2, -2), PellSolution(-24, 17), fundamental_solution(2))
         assert list(islice(cls.walk(), 3)) == [(0, 1), (4, 3), (24, 17)]
 
+    def test_nonnegative_rejects_a_negative_bound(self):
+        cls = solve_general(PellProblem(8, 1))[0]
+        with pytest.raises(ValueError, match="max_y must be >= 0"):
+            cls.nonnegative(-1)
+
     @given(
         st.sampled_from(NONSQUARE_D),
         st.integers(min_value=-(10**4), max_value=10**4).filter(lambda n: n != 0),

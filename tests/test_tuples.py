@@ -245,3 +245,9 @@ class TestObstructions:
         assert not mod4_quadruple_obstruction(-3)
         assert not mod4_quadruple_obstruction(1)
         assert not mod4_quadruple_obstruction(4)
+
+    def test_zero_shift_is_rejected(self):
+        with pytest.raises(ValueError, match="the shift k must be nonzero"):
+            residue_obstruction(0, 3)
+        with pytest.raises(ValueError, match="the shift k must be nonzero"):
+            mod4_quadruple_obstruction(0)
