@@ -22,13 +22,13 @@ deliberately shares no residue-set code with the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from math import gcd, isqrt
-from typing import Iterator
 
 from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
-from .tuples import DiophTuple, PairReduction, reduce_pair, square_points, verify
+from .tuples import DiophTuple, reduce_pair, square_points, verify
 
 __all__ = [
     "ExtensionCandidate",
@@ -47,7 +47,7 @@ VERDICT_BOUNDED = "no_extension_below_bound"
 VERDICT_CERTIFIED = "certified_non_extendable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionCandidate:
     """A positive m satisfying at least the two reduced conditions.
 
@@ -86,7 +86,7 @@ class SearchReport:
     self_hits: tuple[int, ...] = ()
     certificate: ModularCertificate | None = None
 
-    @property
+    @cached_property
     def verdict(self) -> str:
         if any(c.complete for c in self.candidates):
             return VERDICT_EXTENDED
@@ -128,7 +128,8 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     reduced equation (PairReduction.recover_m).
 
     When a*b happens to be a perfect square the reduced equation factors and
-    has finitely many solutions, which are enumerated outright.  Either way
+    has finitely many solutions, which are enumerated outright and taken
+    like a walk of one member each.  Either way
     |k*b*(b-a)| is factored by trial division, which raises ValueError when
     it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
@@ -136,35 +137,34 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
         raise ValueError("max_index must be >= 0")
     _require_verified_triple(t)
     a, b, _ = t.elements
+    k = t.k
+    red = reduce_pair(a, b, k)
+    if is_perfect_square(red.D) is not None:
+        walks = [
+            [(X, Y)]
+            for X, Y in _square_discriminant_solutions(red.D, red.N)
+            if red.recover_m(X, Y) is not None
+        ]
+    else:
+        walks = [
+            islice(cls.walk(), max_index + 1)
+            for cls in solve_general(PellProblem(red.D, red.N))
+            if red.recover_m(cls.rep.x, cls.rep.y) is not None  # else dead
+        ]
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
-    for m, ra, rb in _reduced_points(reduce_pair(a, b, t.k), max_index):
-        if m <= 0:
-            continue
-        if m in t.elements:
-            self_hits.add(m)
-        elif m not in found:
-            found[m] = _candidate(t, m, ra, rb)
+    for walk in walks:
+        for X, Y in walk:
+            x = abs(X) // b
+            m = (x * x - k) // a
+            if m <= 0:
+                continue
+            if m in t.elements:
+                self_hits.add(m)
+            elif m not in found:
+                found[m] = _candidate(t, m, x, abs(Y))
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
-
-
-def _reduced_points(red: PairReduction, max_index: int) -> Iterator[tuple[int, int, int]]:
-    # (m, root of a*m + k, root of b*m + k) for each solution of red's
-    # equation that yields an integral m, per pell_extension_search
-    a, b, k = red.a, red.b, red.k
-    if is_perfect_square(red.D) is not None:
-        for X, Y in _square_discriminant_solutions(red.D, red.N):
-            m = red.recover_m(X, Y)
-            if m is not None:
-                yield m, X // b, Y
-        return
-    for cls in solve_general(PellProblem(red.D, red.N)):
-        if red.recover_m(cls.rep.x, cls.rep.y) is None:
-            continue  # dead class
-        for u, v in islice(cls.walk(), max_index + 1):
-            x = abs(u) // b
-            yield (x * x - k) // a, x, abs(v)
 
 
 def _candidate(t: DiophTuple, m: int, ra: int, rb: int) -> ExtensionCandidate:
@@ -277,6 +277,15 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     does not certify stops at the first residue m allowed by all three
     elements, which costs a few modular exponentiations; only a certifying
     modulus enumerates all M residues.
+
+    A square mod p^i stays a square mod every p^j with j <= i, so a residue
+    common mod p^i is common mod every smaller power of p.  Two things
+    follow.  The scan of p^(j+1) starts at the least residue common mod
+    p^j, since a residue below it is below p^j and so is not common mod
+    p^(j+1) either.  And once the least common residue mod p^j is also
+    common mod the largest power p^J <= max_modulus, it is common mod every
+    p^i between, so no power of p up to the cap can certify and p is
+    settled: its higher powers are not scanned.
     """
     if max_modulus < 2:
         raise ValueError("max_modulus must be >= 2")
@@ -289,13 +298,24 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     e1, e2, e3 = t.elements
     k = t.k
     square = _is_square_mod_prime_power
-    for p, j, M in _certifying_prime_powers(t, max_modulus):
-        for m in range(M):
-            if (
-                square(e1 * m + k, p, j, M)
-                and square(e2 * m + k, p, j, M)
-                and square(e3 * m + k, p, j, M)
-            ):
+
+    def common(m: int, p: int, j: int, M: int) -> bool:
+        return (
+            square(e1 * m + k, p, j, M)
+            and square(e2 * m + k, p, j, M)
+            and square(e3 * m + k, p, j, M)
+        )
+
+    powers = _certifying_prime_powers(t, max_modulus)
+    top = {p: (j, M) for p, j, M in powers}  # ascending, so the largest wins
+    least: dict[int, int] = {}  # p -> least common residue mod the last p**j
+    settled = set()
+    for p, j, M in powers:
+        if p in settled:
+            continue
+        carried = least.get(p)
+        for m in range(carried or 0, M):
+            if common(m, p, j, M):
                 break  # common residue: this modulus proves nothing
         else:
             allowed = {
@@ -303,6 +323,10 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
                 for e in t.elements
             }
             return ModularCertificate(M, allowed)
+        least[p] = m
+        # a carried m was tried mod the top power when it was first found
+        if m != carried and common(m, p, *top[p]):
+            settled.add(p)  # common up to the cap: no power of p can certify
     return None
 
 

@@ -200,17 +200,35 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     class.  The result is therefore complete, whatever the size of the
     fundamental unit.
 
+    A square shared by D and N is divided out first, since the number of
+    roots z, and so of expansions, grows with it.  With s the largest
+    integer such that s^2 divides both, s^2 divides x^2 = N + D*y^2, so
+    s | x, and x = s*x' maps the solutions one to one onto those of
+    x'^2 - (D/s^2)*y^2 = N/s^2.  A unit u + v*sqrt(D) acts on them as the
+    reduced unit u + s*v*sqrt(D/s^2), so the units of D are the
+    +-e'**(r*n), e' the unit of D/s^2 and r the least power of e' whose y
+    is divisible by s.  Each reduced class therefore splits into the r
+    classes of rep * e'**i, 0 <= i < r.  With s = 1, r = 1 and nothing
+    splits.
+
     Each class holds its member of least y >= 0 (x >= 0 on a tie) as rep,
     and the classes are sorted by (rep.y, rep.x < 0).  |N| is factored by
     trial division (see dioph.arith.factorize), which raises ValueError when
     it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
     D, N = problem.D, problem.N
+    factors = []
+    s = 1
+    for p, e in factorize(abs(N)):
+        q = p * p
+        while e >= 2 and D % q == 0:
+            D, N, s, e = D // q, N // q, s * p, e - 2
+        factors.append((p, e))
     cf, principal = _expand(D)
-    unit, negative_unit = _units(cf, D)
+    reduced_unit, negative_unit = _units(cf, D)
+    x1, y1 = reduced_unit.x, reduced_unit.y
     root_cache: dict[tuple[int, int], list[int]] = {}
-    classes: list[PellClass] = []
-    factors = factorize(abs(N))
+    reps: list[tuple[int, int]] = []
     for halves in product(*(range(e // 2 + 1) for _, e in factors)):
         f = 1
         m_factors = []
@@ -225,10 +243,22 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
             xy = _lmm_solution(D, cf.a0, principal, negative_unit, z, m)
             if xy is None:
                 continue
-            cls = PellClass(problem, PellSolution(f * xy[0], f * xy[1]), unit)
-            classes.append(cls)
+            reps.append((f * xy[0], f * xy[1]))
             if 0 < 2 * z < size:
-                classes.append(PellClass(problem, PellSolution(-cls.rep.x, cls.rep.y), unit))
+                reps.append((-f * xy[0], f * xy[1]))
+    if not reps:
+        return []
+    powers = [(1, 0)]  # e'**i for 0 <= i < r
+    ux, uy = x1, y1
+    while uy % s:
+        powers.append((ux, uy))
+        ux, uy = ux * x1 + D * uy * y1, ux * y1 + uy * x1
+    unit = PellSolution(ux, uy // s)
+    classes = [
+        PellClass(problem, PellSolution(s * (u * px + D * v * py), u * py + v * px), unit)
+        for u, v in reps
+        for px, py in powers
+    ]
     classes.sort(key=lambda c: (c.rep.y, c.rep.x < 0))
     return classes
 

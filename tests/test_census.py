@@ -7,10 +7,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from triple_census import main  # noqa: E402
 
 
-def test_default_run_totals(capsys):
-    assert main([]) == 0
+@pytest.mark.parametrize(
+    "argv,totals",
+    [
+        ([], ["618", "593", "249", "228", "141"]),
+        (["--k-min", "-30", "--k-max", "30"], ["3764", "3435", "720", "1749", "1295"]),
+    ],
+    ids=["default", "wide"],
+)
+def test_default_run_totals(capsys, argv, totals):
+    assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3].split() == ["all", "618", "593", "249", "228", "141"]
+    assert lines[-3].split() == ["all"] + totals
 
 
 @pytest.mark.parametrize("argv", [["--bound-index", "-1"], ["--max-modulus", "1"]])

@@ -436,19 +436,15 @@ class TestFindCertificate:
         assert find_certificate(T_7_14_41, 3) is None
 
     def test_prime_power_scan_matches_full_scan(self):
-        cases = [
-            (t, 300)
-            for t in K2_FIXTURES
-            + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
-        ]
-        # the cap is lower for the seeded triples because the reference
-        # costs about cap^3/3 steps for a triple it cannot certify; 256
-        # still runs well past 29, above which the scan skips every odd
-        # prime that does not divide both k and an element
-        cases += [(t, 256) for t in small_dk_triples(4, 40)]
-        for t, cap in cases:
-            ref = reference_first_certificate_modulus(t, cap)
-            cert = find_certificate(t, cap)
+        # cap 512 runs well past 29, above which the scan skips every odd
+        # prime that does not divide both k and an element, and up to 2^9,
+        # so that the scan settles primes below their top power and carries
+        # common residues from one power to the next
+        cases = K2_FIXTURES + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
+        cases += small_dk_triples(4, 40)
+        for t in cases:
+            ref = reference_first_certificate_modulus(t, 512)
+            cert = find_certificate(t, 512)
             got = None if cert is None else cert.modulus
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 

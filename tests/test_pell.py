@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import islice
 from math import isqrt
 
@@ -261,16 +262,47 @@ class TestSolveGeneral:
     )
     @settings(max_examples=200, deadline=None)
     def test_rep_is_least_member_of_its_class(self, D, N):
-        # |y| along rep * unit**n falls and then rises, so no smaller |y|
-        # one unit step away means rep has the least y >= 0 of its class
         for cls in solve_general(PellProblem(D, N)):
-            x, y = cls.rep.x, cls.rep.y
-            x1, y1 = cls.unit.x, cls.unit.y
-            assert y >= 0
-            for v in (x * y1 + y * x1, y * x1 - x * y1):
-                assert abs(v) >= y
-                if abs(v) == y:
-                    assert x >= 0
+            _assert_least_member(cls)
+
+    def test_square_shared_by_d_and_n_is_stripped(self):
+        # D and N share 2^24: solved as x'^2 - 2*y^2 = 1, whose one class
+        # splits into 2048; the LMM loop on (D, N) itself runs 4108
+        # expansions and misses the time bound
+        D, N = 2**25, 2**24
+        start = time.perf_counter()
+        classes = solve_general(PellProblem(D, N))
+        elapsed = time.perf_counter() - start
+        assert len(classes) == 2048
+        assert elapsed < 1.0
+        unit = fundamental_solution(D)
+        for cls in classes:
+            assert cls.unit == unit
+            assert cls.rep.x**2 - D * cls.rep.y**2 == N
+            _assert_least_member(cls)
+
+    @given(
+        st.sampled_from([D for D in range(2, 120) if is_perfect_square(D) is None]),
+        st.integers(min_value=-60, max_value=60).filter(lambda n: n != 0),
+        st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_square_multiple_classes_split_each_class(self, D, N, s):
+        # the classes of (s^2*D, s^2*N) are s*x' for the solutions (x', y)
+        # of (D, N), and each class of (D, N) splits into r of them, r the
+        # least power of its unit whose y is divisible by s
+        unit = fundamental_solution(D)
+        powers = PellClass(PellProblem(D), PellSolution(1, 0), unit).walk()
+        r, (ux, uy) = next((i, p) for i, p in enumerate(powers) if i and p[1] % s == 0)
+        base = solve_general(PellProblem(D, N))
+        split = solve_general(PellProblem(s * s * D, s * s * N))
+        assert len(split) == r * len(base)
+        images = []
+        for cls in split:
+            assert cls.unit == PellSolution(ux, uy // s)
+            assert cls.rep.x % s == 0
+            images.append(PellClass(PellProblem(D, N), PellSolution(cls.rep.x // s, cls.rep.y), unit))
+        assert all(images.count(cls) == r for cls in base)
 
     @given(
         st.sampled_from([D for D in range(2, 40) if is_perfect_square(D) is None]),
@@ -314,6 +346,11 @@ def test_class_counts_match_sympy_diop_dn():
         (rng.choice(NONSQUARE_D), rng.choice([-1, 1]) * rng.randint(1, 10**5))
         for _ in range(20)
     ]
+    # D and N sharing the square s^2, which solve_general divides out
+    for s in (2, 3, 4, 6, 4, 6):
+        D0 = rng.choice([D for D in NONSQUARE_D if D < 40])
+        x0, y0 = rng.randint(1, 20), rng.randint(1, 20)  # D0 is no square: N != 0
+        cases.append((s * s * D0, s * s * (x0 * x0 - D0 * y0 * y0)))
     for D, N in cases:
         # diop_DN may list only one of a conjugate pair (x, y), (-x, y):
         # count the distinct classes among its solutions and their mirrors
@@ -323,6 +360,18 @@ def test_class_counts_match_sympy_diop_dn():
                 if not any(_same_class(D, N, u, v, c, d) for c, d in reps):
                     reps.append((u, v))
         assert len(solve_general(PellProblem(D, N))) == len(reps), (D, N)
+
+
+def _assert_least_member(cls):
+    # |y| along rep * unit**n falls and then rises, so no smaller |y|
+    # one unit step away means rep has the least y >= 0 of its class
+    x, y = cls.rep.x, cls.rep.y
+    x1, y1 = cls.unit.x, cls.unit.y
+    assert y >= 0
+    for v in (x * y1 + y * x1, y * x1 - x * y1):
+        assert abs(v) >= y
+        if abs(v) == y:
+            assert x >= 0
 
 
 def _same_class(D, N, a, b, c, d):
