@@ -107,6 +107,11 @@ def _require_verified_triple(t: DiophTuple) -> None:
         )
 
 
+def _require_cap(max_modulus: int) -> None:
+    if max_modulus < 2:
+        raise ValueError("max_modulus must be >= 2")
+
+
 def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     """Candidate fourth elements for t via the Pell reduction.
 
@@ -278,17 +283,21 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     elements, which costs a few modular exponentiations; only a certifying
     modulus enumerates all M residues.
 
-    A square mod p^i stays a square mod every p^j with j <= i, so a residue
-    common mod p^i is common mod every smaller power of p.  Two things
-    follow.  The scan of p^(j+1) starts at the least residue common mod
-    p^j, since a residue below it is below p^j and so is not common mod
-    p^(j+1) either.  And once the least common residue mod p^j is also
-    common mod the largest power p^J <= max_modulus, it is common mod every
-    p^i between, so no power of p up to the cap can certify and p is
-    settled: its higher powers are not scanned.
+    The primes are scanned one at a time in ascending order, each through
+    its powers p, p^2, ... upwards while they stay under a bound: at first
+    max_modulus, then one below the least certifying modulus found so far.
+    The first certifying power of p is the least one, so the least
+    certifying modulus up to the cap is the one returned, and only it has
+    its allowed residues listed.  A square mod p^i stays a square mod every
+    p^j with j <= i, so a residue common mod p^i is common mod every
+    smaller power of p.  Two things follow.  The scan of p^(j+1) starts at
+    the least residue common mod p^j, since a residue below it is below p^j
+    and so is not common mod p^(j+1) either.  And once the least common
+    residue mod p^j is also common mod the largest power p^J under the
+    bound, it is common mod every p^i between, so no power of p under the
+    bound can certify and p is settled: its higher powers are not scanned.
     """
-    if max_modulus < 2:
-        raise ValueError("max_modulus must be >= 2")
+    _require_cap(max_modulus)
     _require_verified_triple(t)
     return _scan_moduli(t, max_modulus)
 
@@ -306,28 +315,30 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
             and square(e3 * m + k, p, j, M)
         )
 
-    powers = _certifying_prime_powers(t, max_modulus)
-    top = {p: (j, M) for p, j, M in powers}  # ascending, so the largest wins
-    least: dict[int, int] = {}  # p -> least common residue mod the last p**j
-    settled = set()
-    for p, j, M in powers:
-        if p in settled:
-            continue
-        carried = least.get(p)
-        for m in range(carried or 0, M):
-            if common(m, p, j, M):
-                break  # common residue: this modulus proves nothing
-        else:
-            allowed = {
-                e: frozenset(m for m in range(M) if square(e * m + k, p, j, M))
-                for e in t.elements
-            }
-            return ModularCertificate(M, allowed)
-        least[p] = m
-        # a carried m was tried mod the top power when it was first found
-        if m != carried and common(m, p, *top[p]):
-            settled.add(p)  # common up to the cap: no power of p can certify
-    return None
+    best = None  # (p, j, p**j) of the least certifying modulus so far
+    bound = max_modulus
+    for p in _certifying_primes(t):
+        top, J = p, 1  # the largest power of p under the bound
+        while top * p <= bound:
+            top, J = top * p, J + 1
+        least = None  # least common residue mod the power below M
+        M, j = p, 1
+        while M <= bound:
+            m = next((m for m in range(least or 0, M) if common(m, p, j, M)), None)
+            if m is None:
+                best, bound = (p, j, M), M - 1
+                break
+            # a carried m was tried mod the top power when it was first found
+            if m != least and common(m, p, J, top):
+                break  # common up to the bound: no power of p can certify
+            least, M, j = m, M * p, j + 1
+    if best is None:
+        return None
+    p, j, M = best
+    allowed = {
+        e: frozenset(m for m in range(M) if square(e * m + k, p, j, M)) for e in t.elements
+    }
+    return ModularCertificate(M, allowed)
 
 
 def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
@@ -349,21 +360,12 @@ def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _certifying_prime_powers(t: DiophTuple, limit: int) -> list[tuple[int, int, int]]:
-    # (p, j, p**j) ascending, for every p**j <= limit with p one of the
-    # primes find_certificate's docstring has to try
+def _certifying_primes(t: DiophTuple) -> list[int]:
+    # the primes find_certificate's docstring has to try, ascending
     e1, e2, e3 = t.elements
     primes = set(_SMALL_PRIMES)
     primes.update(p for p, _ in factorize(gcd(t.k, e1 * e2 * e3)))
-    powers = []
-    for p in primes:
-        q, j = p, 1
-        while q <= limit:
-            powers.append((p, j, q))
-            q *= p
-            j += 1
-    powers.sort(key=lambda power: power[2])
-    return powers
+    return sorted(primes)
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
@@ -400,8 +402,7 @@ def certify(report: SearchReport, max_modulus: int) -> SearchReport:
     raises ValueError either way.  The search that made the report has
     verified its triple, so it is not verified again here.
     """
-    if max_modulus < 2:
-        raise ValueError("max_modulus must be >= 2")
+    _require_cap(max_modulus)
     if report.verdict == VERDICT_EXTENDED:
         return report
     cert = _scan_moduli(report.triple, max_modulus)
@@ -417,6 +418,5 @@ def search_and_certify(
 
     max_modulus is checked before the walk, so a bad cap fails fast.
     """
-    if max_modulus < 2:
-        raise ValueError("max_modulus must be >= 2")
+    _require_cap(max_modulus)
     return certify(pell_extension_search(t, max_index), max_modulus)

@@ -209,7 +209,8 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     +-e'**(r*n), e' the unit of D/s^2 and r the least power of e' whose y
     is divisible by s.  Each reduced class therefore splits into the r
     classes of rep * e'**i, 0 <= i < r.  With s = 1, r = 1 and nothing
-    splits.
+    splits.  For i > r/2 the class is built on rep * e'**(i - r), the same
+    class under the unit e'**r of D, which lies nearer its least member.
 
     Each class holds its member of least y >= 0 (x >= 0 on a tie) as rep,
     and the classes are sorted by (rep.y, rep.x < 0).  |N| is factored by
@@ -227,17 +228,23 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     cf, principal = _expand(D)
     reduced_unit, negative_unit = _units(cf, D)
     x1, y1 = reduced_unit.x, reduced_unit.y
-    root_cache: dict[tuple[int, int], list[int]] = {}
+    # per prime power p**e of |N|: each p**h with p**(2h) | N, the part
+    # p**(e-2h) it leaves of m = N/f^2, and the roots of D modulo that part
+    choices = [
+        [
+            (p**h, p ** (e - 2 * h), _roots_mod_prime_power(D, p, e - 2 * h))
+            for h in range(e // 2 + 1)
+        ]
+        for p, e in factors
+    ]
     reps: list[tuple[int, int]] = []
-    for halves in product(*(range(e // 2 + 1) for _, e in factors)):
-        f = 1
-        m_factors = []
-        for (p, e), h in zip(factors, halves):
-            f *= p**h
-            m_factors.append((p, e - 2 * h))
+    for choice in product(*choices):
+        f, size, zs = 1, 1, [0]
+        for ph, q, roots in choice:
+            zs = _crt(zs, size, roots, q)
+            f, size = f * ph, size * q
         m = N // (f * f)
-        size = abs(m)
-        for z in _roots_mod(D, m_factors, root_cache):
+        for z in zs:
             if 2 * z > size:
                 continue  # -z < |m|/2 is a root too; its class is the conjugate
             xy = _lmm_solution(D, cf.a0, principal, negative_unit, z, m)
@@ -254,6 +261,8 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
         powers.append((ux, uy))
         ux, uy = ux * x1 + D * uy * y1, ux * y1 + uy * x1
     unit = PellSolution(ux, uy // s)
+    half = len(powers) // 2 + 1  # e'**(i-r) = e'**i * (ux, -uy) for i >= half
+    powers[half:] = [(px * ux - D * py * uy, py * ux - px * uy) for px, py in powers[half:]]
     classes = [
         PellClass(problem, PellSolution(s * (u * px + D * v * py), u * py + v * px), unit)
         for u, v in reps
@@ -265,26 +274,26 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
 
 def _lmm_solution(
     D: int,
-    s: int,
+    a0: int,
     principal: set[tuple[int, int]],
     negative_unit: PellSolution | None,
     z: int,
     m: int,
 ) -> tuple[int, int] | None:
     """A solution of x^2 - D*y^2 = m in the class belonging to the root z,
-    or None when that class is empty.  s is isqrt(D)."""
+    or None when that class is empty.  a0 is isqrt(D)."""
     P, Q = z, abs(m)
     quotients = []
     while True:
-        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        a = (P + a0) // Q if Q > 0 else (P + a0 + 1) // Q
         quotients.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
         if Q == 1 or Q == -1:
             break
         # From its first reduced term on, the expansion is purely periodic.
-        # Only the cycle of sqrt(D) itself holds a term with Q = 1, s+sqrt(D).
-        if 0 < P <= s and s - P < Q <= s + P and (P, Q) not in principal:
+        # Only the cycle of sqrt(D) itself holds a term with Q = 1, a0+sqrt(D).
+        if 0 < P <= a0 and a0 - P < Q <= a0 + P and (P, Q) not in principal:
             return None
     G1, G0, B1, B0 = abs(m), -z, 0, 1  # G_{i-1}, G_{i-2}, B_{i-1}, B_{i-2}
     for a in quotients:
@@ -321,27 +330,11 @@ def _least_member(D: int, unit: PellSolution, x: int, y: int) -> tuple[int, int]
     return max((-u, -v) if (v, u) < (0, 0) else (u, v) for u, v in ties)
 
 
-def _roots_mod(
-    D: int, factors: list[tuple[int, int]], cache: dict[tuple[int, int], list[int]]
-) -> list[int]:
-    """Every z in [0, n) with z^2 = D (mod n), n = prod p**e over factors,
-    combined by the Chinese remainder theorem from the prime-power roots
-    kept in cache across calls."""
-    zs, n = [0], 1
-    for p, e in factors:
-        if e == 0:
-            continue
-        roots = cache.get((p, e))
-        if roots is None:
-            roots = cache[(p, e)] = _roots_mod_prime_power(D, p, e)
-        q = p**e
-        if n == 1:
-            zs = roots
-        else:
-            inv = pow(n, -1, q)
-            zs = [z + n * ((r - z) * inv % q) for z in zs for r in roots]
-        n *= q
-    return zs
+def _crt(zs: list[int], n: int, roots: list[int], q: int) -> list[int]:
+    """Every residue mod n*q that is one of zs mod n and one of roots mod q,
+    for coprime n and q."""
+    inv = pow(n, -1, q)
+    return [z + n * ((r - z) * inv % q) for z in zs for r in roots]
 
 
 def _roots_mod_prime_power(D: int, p: int, e: int) -> list[int]:
@@ -395,8 +388,6 @@ def _sqrt_mod_prime(u: int, p: int) -> int | None:
     (Tonelli-Shanks), or None when u is a non-residue."""
     if pow(u, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(u, (p + 1) // 4, p)
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd //= 2

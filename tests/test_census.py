@@ -1,7 +1,10 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from dioph import DiophTuple, enumerate_triples, search_and_certify
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from triple_census import main  # noqa: E402
@@ -19,6 +22,17 @@ def test_default_run_totals(capsys, argv, totals):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3].split() == ["all"] + totals
+
+
+def test_default_run_certificate_moduli():
+    # the census defaults: elements <= 150, k in [-5, 5], depth 15, cap 512
+    moduli = Counter()
+    for k in [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]:
+        for elements in enumerate_triples(150, k):
+            cert = search_and_certify(DiophTuple(elements, k), 15, 512).certificate
+            if cert is not None:
+                moduli[cert.modulus] += 1
+    assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
 
 
 @pytest.mark.parametrize("argv", [["--bound-index", "-1"], ["--max-modulus", "1"]])

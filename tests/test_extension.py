@@ -15,8 +15,9 @@ from dioph.extension import (
     ExtensionCandidate,
     ModularCertificate,
     SearchReport,
-    _certifying_prime_powers,
+    _certifying_primes,
     _is_square_mod_prime_power,
+    _scan_moduli,
     _square_discriminant_solutions,
     brute_force_search,
     certify,
@@ -60,15 +61,17 @@ WALK_FIXTURES = K2_FIXTURES + [
 ]
 
 
+def reference_certifies(t, M):
+    """No m mod M makes every e*m + k a square mod M, by direct enumeration."""
+    squares = {r * r % M for r in range(M)}
+    sets = [{m for m in range(M) if (e * m + t.k) % M in squares} for e in t.elements]
+    return not (sets[0] & sets[1] & sets[2])
+
+
 def reference_first_certificate_modulus(t, max_modulus):
     """Ascending scan over every modulus, squares by direct enumeration."""
     for M in range(2, max_modulus + 1):
-        squares = {r * r % M for r in range(M)}
-        sets = [
-            {m for m in range(M) if (e * m + t.k) % M in squares}
-            for e in t.elements
-        ]
-        if not (sets[0] & sets[1] & sets[2]):
+        if reference_certifies(t, M):
             return M
     return None
 
@@ -448,6 +451,16 @@ class TestFindCertificate:
             got = None if cert is None else cert.modulus
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
+    @pytest.mark.parametrize("elements,modulus", [((1, 2, 6), 3), ((1, 2, 10), 5)])
+    def test_a_certifying_odd_prime_beats_a_larger_power_of_two(self, elements, modulus):
+        # No D(k) triple found so far certifies at an odd modulus, so the scan
+        # runs on sets that are not D(2): 2 scans first and certifies at 16,
+        # and the bound that 16 sets must still let the odd prime in below it
+        t = DiophTuple(elements, 2)
+        assert [M for M in (2, 4, 8, 16) if reference_certifies(t, M)] == [16]
+        cert = _scan_moduli(t, 64)
+        assert cert.modulus == modulus == reference_first_certificate_modulus(t, 64)
+
     def test_square_test_matches_enumeration(self):
         for p in range(2, 2001):
             if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
@@ -489,10 +502,6 @@ class TestFindCertificate:
         assert not common_square(13, 2, (2, 4, 10), squares)
 
     def test_scan_adds_the_odd_primes_dividing_k_and_an_element(self):
-        def powers(primes, limit):
-            found = [(p, j, p**j) for p in primes for j in range(1, 11) if p**j <= limit]
-            return sorted(found, key=lambda power: power[2])
-
         small = [2, 3, 5, 7, 11, 13]
         cases = [
             (DiophTuple((1, 31, 32), -31), [31]),
@@ -502,8 +511,7 @@ class TestFindCertificate:
             (T_7_14_41, []),
         ]
         for t, extra in cases:
-            for limit in (2, 16, 17, 31, 1000):
-                assert _certifying_prime_powers(t, limit) == powers(small + extra, limit), t
+            assert _certifying_primes(t) == sorted(small + extra), t
 
     def test_uncertifiable_triple_scans_a_huge_cap_quickly(self):
         start = time.perf_counter()
