@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from math import gcd, isqrt
 
 from .arith import factorize, is_perfect_square
@@ -47,13 +46,17 @@ VERDICT_BOUNDED = "no_extension_below_bound"
 VERDICT_CERTIFIED = "certified_non_extendable"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ExtensionCandidate:
     """A positive m satisfying at least the two reduced conditions.
 
     roots maps each element e whose condition holds to the square root of
     e*m + k, in element order; complete means all three conditions hold,
     i.e. m genuinely extends the triple.
+
+    Not frozen: a frozen __init__ sets each field through object.__setattr__,
+    over twice the cost of a plain one, and the walks build a record per m.
+    It never made a record hashable or immutable, as roots is a dict.
     """
 
     m: int
@@ -118,10 +121,10 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
     k*b*(b-a); every solution class (solve_general finds them all) is walked
     forwards max_index unit-multiplications from its member of least |Y|
-    (PellClass.walk).  Each member yields m = (x^2 - k)/a with x = X/b when
-    both divisions are exact; m <= 0 is discarded, m equal to an existing
-    element is reported as a self-hit, and every other m becomes a
-    candidate whose third condition c*m + k is then tested.
+    (as PellClass.walk does).  Each member yields m = (x^2 - k)/a with
+    x = X/b when both divisions are exact; m <= 0 is discarded, m equal to
+    an existing element is reported as a self-hit, and every other m
+    becomes a candidate whose third condition c*m + k is then tested.
 
     Whether b | X and a | x^2 - k is the same for every member of a class,
     so a class whose least member fails is dead and is skipped unwalked.
@@ -130,56 +133,52 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     invertible mod b, so b | X' exactly when b | X.  Then x' = X'/b =
     x1*x + a*y1*Y = x1*x (mod a), so x'^2 = x^2 (mod a).  Members of a
     live class need no further check: b*m + k = Y^2 follows from the
-    reduced equation (PairReduction.recover_m).
+    reduced equation (PairReduction.recover_m).  A live class is walked in
+    the reduced coordinates (x, Y): with X = b*x the step X' = x1*X +
+    a*b*y1*Y, Y' = y1*X + x1*Y reads x' = x1*x + a*y1*Y, Y' = b*y1*x +
+    x1*Y, integral at every member, so no member is divided by b.
 
     When a*b happens to be a perfect square the reduced equation factors and
-    has finitely many solutions, which are enumerated outright and taken
-    like a walk of one member each.  Either way
+    has finitely many solutions, which are enumerated outright and walked
+    as classes of one member each.  Either way
     |k*b*(b-a)| is factored by trial division, which raises ValueError when
     it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     _require_verified_triple(t)
-    a, b, _ = t.elements
+    a, b, c = elements = t.elements
     k = t.k
     red = reduce_pair(a, b, k)
     if is_perfect_square(red.D) is not None:
-        walks = [
-            [(X, Y)]
-            for X, Y in _square_discriminant_solutions(red.D, red.N)
-            if red.recover_m(X, Y) is not None
-        ]
+        starts = [(X, Y, 1, 0) for X, Y in _square_discriminant_solutions(red.D, red.N)]
+        members = 1
     else:
-        walks = [
-            islice(cls.walk(), max_index + 1)
+        starts = [
+            (cls.rep.x, cls.rep.y, cls.unit.x, cls.unit.y)
             for cls in solve_general(PellProblem(red.D, red.N))
-            if red.recover_m(cls.rep.x, cls.rep.y) is not None  # else dead
         ]
+        members = max_index + 1
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
-    for walk in walks:
-        for X, Y in walk:
-            x = abs(X) // b
+    for X, Y, x1, y1 in starts:
+        if red.recover_m(X, Y) is None:
+            continue  # dead
+        x, ay1, by1 = X // b, a * y1, b * y1
+        for _ in range(members):
             m = (x * x - k) // a
-            if m <= 0:
-                continue
-            if m in t.elements:
-                self_hits.add(m)
-            elif m not in found:
-                found[m] = _candidate(t, m, x, abs(Y))
+            if m > 0:
+                if m in elements:
+                    self_hits.add(m)
+                elif m not in found:
+                    rc = is_perfect_square(c * m + k)
+                    roots = {a: abs(x), b: abs(Y)}
+                    if rc is not None:
+                        roots[c] = rc
+                    found[m] = ExtensionCandidate(m, roots)
+            x, Y = x1 * x + ay1 * Y, by1 * x + x1 * Y
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
-
-
-def _candidate(t: DiophTuple, m: int, ra: int, rb: int) -> ExtensionCandidate:
-    # ra and rb are the roots of a*m + k and b*m + k; c*m + k is tested here
-    a, b, c = t.elements
-    roots = {a: ra, b: rb}
-    rc = is_perfect_square(c * m + t.k)
-    if rc is not None:
-        roots[c] = rc
-    return ExtensionCandidate(m, roots)
 
 
 def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
@@ -212,7 +211,7 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     _require_verified_triple(t)
-    a, b, _ = t.elements
+    a, b, c = elements = t.elements
     k = t.k
     found = []
     hits = []
@@ -220,13 +219,13 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
         rb = is_perfect_square(b * m + k)
         if rb is None:
             continue
-        if m in t.elements:
+        if m in elements:
             # same diagnostic the pair-reduction strategy emits
             hits.append(m)
             continue
-        candidate = _candidate(t, m, ra, rb)
-        if candidate.complete:
-            found.append(candidate)
+        rc = is_perfect_square(c * m + k)
+        if rc is not None:
+            found.append(ExtensionCandidate(m, {a: ra, b: rb, c: rc}))
     found.sort(key=lambda cand: cand.m)
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(sorted(hits)))
 

@@ -141,6 +141,15 @@ def small_dk_triples(seed, count):
     return [DiophTuple(elements, k) for elements, k in sample]
 
 
+def default_census_triples():
+    """The 618 triples of the default census: elements <= 150, k in [-5, 5]."""
+    return [
+        DiophTuple(elements, k)
+        for k in range(-5, 6) if k
+        for elements in enumerate_triples(150, k)
+    ]
+
+
 def common_square(p, k, elements, squares):
     """Whether some m makes every e*m + k a nonzero square mod p."""
     return any(all((e * m + k) % p in squares for e in elements) for m in range(p))
@@ -277,6 +286,8 @@ class TestPellExtensionSearch:
     @pytest.mark.parametrize("index", [0, 1, 15, 30])
     def test_matches_walk_over_every_class(self, index):
         cases = WALK_FIXTURES + small_dk_triples(6, 40)
+        if index == 15:  # the census's depth, over the census's triples
+            cases += default_census_triples()
         kinds = set()
         for t in cases:
             red = reduce_pair(t.elements[0], t.elements[1], t.k)
@@ -299,14 +310,19 @@ class TestPellExtensionSearch:
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
 
+    def test_candidate_record_contract(self):
+        # equality and repr by fields; unhashable, since roots is a dict
+        found = pell_extension_search(T_1_3_8, 15).candidates
+        expected = ExtensionCandidate(120, {1: 11, 3: 19, 8: 31})
+        assert [c for c in found if c.complete] == [expected]
+        assert repr(expected) == "ExtensionCandidate(m=120, roots={1: 11, 3: 19, 8: 31})"
+        with pytest.raises(TypeError):
+            hash(expected)
+
     def test_a_class_yields_m_at_every_member_or_at_none(self):
         # pell_extension_search skips a class whose rep yields no m; the
         # default census's triples have 443 such classes among 2400
-        census = [
-            DiophTuple(elements, k)
-            for k in range(-5, 6) if k
-            for elements in enumerate_triples(150, k)
-        ]
+        census = default_census_triples()
         samples = small_dk_triples(6, 40) + small_dk_triples(11, 40) + small_dk_triples(4, 40)
         counts = {}
         for name, cases in [("fixtures", WALK_FIXTURES + samples), ("census", census)]:
