@@ -347,7 +347,7 @@ def _census_row(label: int | str, cells: dict) -> str:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    _check_bounds(args, bound_index=0, max_modulus=2)
+    _check_bounds(args, limit=1, show=0, bound_index=0, max_modulus=2)
     start = time.perf_counter()
     print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "
           f"search depth {args.bound_index}, modulus cap {args.max_modulus}\n")

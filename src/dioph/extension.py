@@ -13,8 +13,8 @@ When no complete candidate exists, ``find_certificate`` (which ``certify``
 attaches to a search report) looks for a modulus M at which the three
 allowed residue sets for m have empty intersection: a finite,
 machine-checkable proof that no extension exists at all.  It tries
-only the prime powers that can certify: powers of 2, of the odd primes
-below 17 and of the odd primes dividing both k and an element.
+only the prime powers that can certify: powers of 2 and of the odd primes
+dividing both k and an element.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
 deliberately shares no residue-set code with the finder.
 """
@@ -239,34 +239,37 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     M, so a composite modulus certifies exactly when one of its prime-power
     parts does, and the smallest certifying M is always a prime power.
 
-    Only the powers of 2, of the odd primes below 17 and of the odd primes
-    dividing both k and an element are tried: no power of any other prime p
-    can certify.  For such p it is enough to find one m with every e*m + k a
-    nonzero square mod p, since a unit square mod p stays a square mod every
-    p^j (Hensel), so m is allowed by all three elements mod p^j.  Let chi be
-    the Legendre symbol mod p.
+    Only the powers of 2 and of the odd primes dividing both k and an
+    element are tried: no power of any other odd prime p can certify.  An m
+    mod p with every e*m + k a nonzero square mod p is allowed by all three
+    elements mod every p^j, since a unit square mod p stays a square mod
+    p^j (Hensel).  Let chi be the Legendre symbol mod p.
 
     * p divides k but no element.  Each e*e' + k = e*e' (mod p) is a nonzero
       square, so chi takes one value on all three elements, and any m with
       chi(m) = chi(e1) makes every e*m + k = e*m a nonzero square.
-    * p >= 29 does not divide k.  An element with p | e has e*m + k = k for
-      every m, and chi(k) = 1 because e*e' + k = k (mod p) is a square; it
-      imposes nothing.  Coinciding residues impose one condition between
-      them.  For the r <= 3 distinct nonzero residues e left, 2^r times the
-      number of good m is the sum of prod(1 + chi(e*m + k)) over the m that
-      are no root -k/e.  Over all m the linear sums vanish, each
-      sum chi((e*m + k)(e'*m + k)) is -chi(e*e') (the roots differ), and the
-      cubic sum is at most 2*sqrt(p) in size (Hasse); each of the r roots
-      adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
+    * chi(k) = 1.  m = 0 makes every e*m + k = k a nonzero square.
+    * chi(k) = -1.  No element is divisible by p, since e*e' + k = k (mod p)
+      would then be a non-square.  An m mod p at which exactly one e*m + k
+      is 0 and the other two are nonzero squares serves as well: the p-adic
+      root m = -k/e of that factor makes it exactly 0 and reduces mod each
+      p^j to a residue all three elements allow.  For p >= 29 a count gives
+      an m with every e*m + k a nonzero square.  Coinciding residues impose
+      one condition between them.  For the r <= 3 distinct residues e,
+      2^r times the number of good m is the sum of prod(1 + chi(e*m + k))
+      over the m that are no root -k/e.  Over all m the linear sums vanish,
+      each sum chi((e*m + k)(e'*m + k)) is -chi(e*e') (the roots differ),
+      and the cubic sum is at most 2*sqrt(p) in size (Hasse); each of the r
+      roots adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
       r = 3, which is positive for p > 25, and 4*count >= p - 5 for r = 2;
-      r <= 1 needs one m with e*m + k = 1, or none.
-    * p = 17, 19 or 23 does not divide k.  The count falls short here, but
-      the residues a D(k) triple can have are few: scaling k by a square
-      makes it 1 or the least non-residue mod p, and every e*e' + k is a
-      square or 0 mod p.  An exhaustive check over every such k and
-      multiset of residues, zero included, finds the m in each
-      (tests/test_extension.py).  At p = 13 it does not hold: {2, 4, 10}
-      with k = 2 leaves no m.
+      r = 1 needs one m with e*m + k = 1.  For 3 <= p <= 23 the residues a
+      D(k) triple can have are few: scaling k by a square makes it 1 or the
+      least non-residue mod p, and every e*e' + k is a square or 0 mod p.
+      An exhaustive check over every such k and multiset of residues
+      (test_odd_primes_to_23_leave_a_liftable_common_residue in
+      tests/test_extension.py) finds one of the two kinds of m in each.
+      Nonzero squares alone fall short: {2, 4, 10} with k = 2 mod 13 needs
+      the root m = 6 of 4*m + 2.
 
     The odd primes dividing k and an element are those of
     gcd(k, e1*e2*e3), factored with dioph.arith.factorize; it divides k,
@@ -356,15 +359,10 @@ def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
     return pow(x, (p - 1) >> 1, p) == 1
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
 def _certifying_primes(t: DiophTuple) -> list[int]:
-    # the primes find_certificate's docstring has to try, ascending
+    # 2, then the odd primes find_certificate's docstring cannot rule out
     e1, e2, e3 = t.elements
-    primes = set(_SMALL_PRIMES)
-    primes.update(p for p, _ in factorize(gcd(t.k, e1 * e2 * e3)))
-    return sorted(primes)
+    return [2] + [p for p, _ in factorize(gcd(t.k, e1 * e2 * e3)) if p != 2]
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

@@ -35,7 +35,10 @@ def test_default_run_certificate_moduli():
     assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
 
 
-@pytest.mark.parametrize("argv", [["--bound-index", "-1"], ["--max-modulus", "1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--limit", "0"], ["--show", "-1"], ["--bound-index", "-1"], ["--max-modulus", "1"]],
+)
 def test_bad_bound_is_usage_error(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()

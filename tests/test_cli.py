@@ -126,8 +126,8 @@ class TestExtendCommand:
         assert "Traceback" not in err
 
     def test_huge_modulus_cap_without_certificate_stays_bounded(self, capsys):
-        # only the powers of 2 and of the odd primes below 29 can certify
-        # {2, 6, 14} with k = -3, so a cap of 10^12 costs a few hundred moduli
+        # only the powers of 2 and of 3, which divides k and 6, can certify
+        # {2, 6, 14} with k = -3, so a cap of 10^12 costs a few moduli
         start = time.perf_counter()
         code, out, err = run(
             capsys, "extend", "--set", "2,6,14", "--k", "-3",

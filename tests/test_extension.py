@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -38,6 +38,8 @@ T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
 T_3_4_13 = DiophTuple((3, 4, 13), -3)
 T_1_2_7 = DiophTuple((1, 2, 7), 2)
+# the odd primes below the character-sum count's reach (p >= 29)
+ODD_PRIMES_TO_23 = (3, 5, 7, 11, 13, 17, 19, 23)
 
 K2_FIXTURES = [
     DiophTuple((7, 14, 41), 2),
@@ -153,6 +155,18 @@ def default_census_triples():
 def common_square(p, k, elements, squares):
     """Whether some m makes every e*m + k a nonzero square mod p."""
     return any(all((e * m + k) % p in squares for e in elements) for m in range(p))
+
+
+def liftable_common_residue(p, k, elements, squares):
+    """Whether some m mod p makes every e*m + k a nonzero square mod p, or
+    exactly one of them 0 and the other two nonzero squares: the p-adic root
+    of the zero factor then reduces to a common residue mod every p^j."""
+    for m in range(p):
+        values = [(e * m + k) % p for e in elements]
+        zeros = values.count(0)
+        if zeros <= 1 and all(v in squares for v in values if v):
+            return True
+    return False
 
 
 def dk_configurations(p, shifts):
@@ -455,10 +469,10 @@ class TestFindCertificate:
         assert find_certificate(T_7_14_41, 3) is None
 
     def test_prime_power_scan_matches_full_scan(self):
-        # cap 512 runs well past 29, above which the scan skips every odd
-        # prime that does not divide both k and an element, and up to 2^9,
-        # so that the scan settles primes below their top power and carries
-        # common residues from one power to the next
+        # the reference tries every modulus up to 512, the scan only the
+        # powers of 2 and of the odd primes dividing both k and an element;
+        # up to 2^9, so that the scan settles primes below their top power
+        # and carries common residues from one power to the next
         cases = K2_FIXTURES + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
         cases += small_dk_triples(4, 40)
         for t in cases:
@@ -467,15 +481,17 @@ class TestFindCertificate:
             got = None if cert is None else cert.modulus
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
-    @pytest.mark.parametrize("elements,modulus", [((1, 2, 6), 3), ((1, 2, 10), 5)])
-    def test_a_certifying_odd_prime_beats_a_larger_power_of_two(self, elements, modulus):
+    @pytest.mark.parametrize("elements,k", [((1, 6, 9), 3), ((3, 4, 11), -3)])
+    def test_a_certifying_odd_prime_beats_a_larger_power_of_two(self, elements, k):
         # No D(k) triple found so far certifies at an odd modulus, so the scan
-        # runs on sets that are not D(2): 2 scans first and certifies at 16,
-        # and the bound that 16 sets must still let the odd prime in below it
-        t = DiophTuple(elements, 2)
+        # runs on sets that are not D(k), where 3 divides k and an element:
+        # 2 scans first and certifies at 16, and the bound that 16 sets must
+        # still let 3 in below it
+        t = DiophTuple(elements, k)
+        assert _certifying_primes(t) == [2, 3]
         assert [M for M in (2, 4, 8, 16) if reference_certifies(t, M)] == [16]
         cert = _scan_moduli(t, 64)
-        assert cert.modulus == modulus == reference_first_certificate_modulus(t, 64)
+        assert cert.modulus == 9 == reference_first_certificate_modulus(t, 64)
 
     def test_square_test_matches_enumeration(self):
         for p in range(2, 2001):
@@ -503,22 +519,48 @@ class TestFindCertificate:
                     for e3 in range(e2, p):
                         assert common_square(p, k, (1, e2, e3), squares), (p, k, e2, e3)
 
-    def test_primes_17_to_23_leave_a_common_square_for_every_dk_triple(self):
+    def test_odd_primes_to_23_leave_a_liftable_common_residue(self):
         # the exhaustive case of find_certificate's docstring: every k up to a
         # square factor and every multiset of element residues, zero
         # included, that a D(k) triple can have mod p
-        for p in (17, 19, 23):
+        for p in ODD_PRIMES_TO_23:
             squares = {r * r % p for r in range(1, p)}
             non_residue = min(set(range(1, p)) - squares)
             for k, elements in dk_configurations(p, (1, non_residue)):
-                assert common_square(p, k, elements, squares), (p, k, elements)
-        # mod 13 such a triple can leave no m: (2, 4, 10) with k = 2
+                assert liftable_common_residue(p, k, elements, squares), (p, k, elements)
+        # mod 13 nonzero squares alone can fail: (2, 4, 10) with k = 2 needs
+        # the root m = 6 of 4*m + 2
         squares = {r * r % 13 for r in range(1, 13)}
         assert (2, (2, 4, 10)) in dk_configurations(13, (2,))
         assert not common_square(13, 2, (2, 4, 10), squares)
+        assert [(e * 6 + 2) % 13 for e in (2, 4, 10)] == [1, 0, 10]
+        assert {1, 10} <= squares
+
+    def test_no_unshared_odd_prime_power_certifies_a_census_triple(self):
+        # the proof's conclusion on real triples, by direct enumeration of
+        # the squares mod each p^j <= 512, stopping at the first residue
+        # common to all three elements
+        squares = {}
+        for t in default_census_triples():
+            e1, e2, e3 = t.elements
+            shared = gcd(t.k, e1 * e2 * e3)
+            for p in ODD_PRIMES_TO_23:
+                if shared % p == 0:
+                    continue
+                q = p
+                while q <= 512:
+                    if q not in squares:
+                        squares[q] = {r * r % q for r in range(q)}
+                    sq = squares[q]
+                    assert any(
+                        (e1 * m + t.k) % q in sq
+                        and (e2 * m + t.k) % q in sq
+                        and (e3 * m + t.k) % q in sq
+                        for m in range(q)
+                    ), (t, q)
+                    q *= p
 
     def test_scan_adds_the_odd_primes_dividing_k_and_an_element(self):
-        small = [2, 3, 5, 7, 11, 13]
         cases = [
             (DiophTuple((1, 31, 32), -31), [31]),
             (DiophTuple((1, 17, 18), -17), [17]),
@@ -527,7 +569,7 @@ class TestFindCertificate:
             (T_7_14_41, []),
         ]
         for t, extra in cases:
-            assert _certifying_primes(t) == sorted(small + extra), t
+            assert _certifying_primes(t) == [2] + extra, t
 
     def test_uncertifiable_triple_scans_a_huge_cap_quickly(self):
         start = time.perf_counter()
