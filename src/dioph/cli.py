@@ -57,6 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed the pipe (dioph ... | head): drop the rest of the
         # output, so that the flush at exit cannot fail again

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -302,6 +303,23 @@ def test_closed_stdout_exits_141_without_traceback():
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert b"Traceback" not in err
+
+
+def test_out_of_memory_exits_2_without_traceback():
+    # the list of 10^8 Pell members outgrows a 300 MB address space in
+    # under a second; the limit is set in the child only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "100000000"]
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
 
 
 @pytest.mark.parametrize("entry", [["scripts/triple_census.py"], ["-m", "dioph", "census"]])

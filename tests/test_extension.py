@@ -31,6 +31,7 @@ from dioph.tuples import (
     DiophTuple,
     enumerate_triples,
     reduce_pair,
+    square_points,
     verify,
 )
 
@@ -199,6 +200,39 @@ def reference_brute_force(t, max_m):
         if rc is not None:
             found.append(ExtensionCandidate(m, {a: ra, b: rb, c: rc}))
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(hits))
+
+
+def reference_smallest_element_walk(t, max_m):
+    """Walk the square roots of a*m + k for the smallest element a, as
+    brute_force_search once did whatever the cost of that walk."""
+    a, b, c = t.elements
+    found = []
+    hits = []
+    for m, ra in square_points(a, t.k, max_m):
+        rb = is_perfect_square(b * m + t.k)
+        if rb is None:
+            continue
+        if m in t.elements:
+            hits.append(m)
+            continue
+        rc = is_perfect_square(c * m + t.k)
+        if rc is not None:
+            found.append(ExtensionCandidate(m, {a: ra, b: rb, c: rc}))
+    found.sort(key=lambda cand: cand.m)
+    return SearchReport(t, "brute_force", max_m, tuple(found), tuple(sorted(hits)))
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The element of each square_points walk that dioph.extension starts."""
+    elements = []
+
+    def recording_square_points(a, k, max_m):
+        elements.append(a)
+        return square_points(a, k, max_m)
+
+    monkeypatch.setattr("dioph.extension.square_points", recording_square_points)
+    return elements
 
 
 class TestPellExtensionSearch:
@@ -397,6 +431,12 @@ class TestBruteForceSearch:
             (DiophTuple((2, 5, 9), -9), 100),  # self-hits (5, 9): b is one
             # extensions 45 and 69, the walk meets 69 first
             (DiophTuple((5, 13, 24), -56), 100),
+            # the same three walking c, whose walk is the shortest
+            (DiophTuple((4, 7, 19), -12), 10**5),
+            (DiophTuple((2, 5, 9), -9), 10**5),
+            (DiophTuple((5, 13, 24), -56), 10**5),
+            (T_1_3_8, 5),  # c > max_m
+            (DiophTuple((1, 3, 120), 1), 100),  # c > max_m, and walks b
         ]
         cases += [
             (t, max_m) for t in small_dk_triples(11, 40) for max_m in (1, 7, 300, 20000)
@@ -408,7 +448,35 @@ class TestBruteForceSearch:
         for t, max_m in cases:
             report = brute_force_search(t, max_m)
             assert report == reference_brute_force(t, max_m), (t, max_m)
+            assert repr(report) == repr(reference_smallest_element_walk(t, max_m)), (t, max_m)
             assert_roots_name_the_conditions_that_hold(report)
+
+    def test_matches_smallest_element_walk_on_default_census(self, walked):
+        triples = default_census_triples()
+        assert len(triples) == 618
+        stepped_elsewhere = {}
+        for max_m in (1, 7, 100, 10**4):
+            walked.clear()
+            for t in triples:
+                report = brute_force_search(t, max_m)
+                assert repr(report) == repr(reference_smallest_element_walk(t, max_m)), (t, max_m)
+            smallest = [t.elements[0] for t in triples]
+            stepped_elsewhere[max_m] = sum(e != a for e, a in zip(walked, smallest, strict=True))
+        assert stepped_elsewhere == {1: 125, 7: 27, 100: 35, 10**4: 251}
+
+    def test_walks_the_element_with_the_shortest_walk(self, walked):
+        # 41 + isqrt(10^6 // 41) = 197 values, against 384 for 7 and 281 for 14
+        report = brute_force_search(T_7_14_41, 10**6)
+        assert walked == [41]
+        assert report.candidates == ()
+        walked.clear()
+        # the estimate ignores rho(8) = 4: 8 + 4 * 353 values, not 1 + 1000
+        report = brute_force_search(T_1_3_8, 10**6)
+        assert walked == [8]
+        assert repr(report) == repr(reference_smallest_element_walk(T_1_3_8, 10**6))
+        walked.clear()
+        brute_force_search(T_1_3_8, 1)  # 1 costs 2, an element > 1 costs 1
+        assert walked == [3]
 
     def test_huge_smallest_element_costs_at_most_max_m(self):
         # a*(a+2) + 1, a*(4a+4) + 1 and (a+2)*(4a+4) + 1 are squares; the
