@@ -13,8 +13,7 @@ When no complete candidate exists, ``find_certificate`` (which ``certify``
 attaches to a search report) looks for a modulus M at which the three
 allowed residue sets for m have empty intersection: a finite,
 machine-checkable proof that no extension exists at all.  It tries
-only the prime powers that can certify: powers of 2 and of the odd primes
-dividing both k and an element.
+only the powers of 2, since no power of an odd prime can certify.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
 deliberately shares no residue-set code with the finder.
 """
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import factorize, is_perfect_square
 from .pell import PellProblem, solve_general
@@ -242,67 +241,66 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     square mod M}; an empty three-way intersection proves no integer m can
     extend the triple.  Squareness mod M decomposes over the prime powers of
     M, so a composite modulus certifies exactly when one of its prime-power
-    parts does, and the smallest certifying M is always a prime power.
+    parts does.  No power of an odd prime p can certify, so the smallest
+    certifying M is always a power of 2, and only those are tried.
 
-    Only the powers of 2 and of the odd primes dividing both k and an
-    element are tried: no power of any other odd prime p can certify.  An m
-    mod p with every e*m + k a nonzero square mod p is allowed by all three
-    elements mod every p^j, since a unit square mod p stays a square mod
-    p^j (Hensel).  Let chi be the Legendre symbol mod p.
+    Proof for an odd prime p.  It is enough to find an m in Z_p that makes
+    every e*m + k a square in Z_p: each reduction of m mod p^j is then a
+    residue that all three elements allow.  A unit of Z_p that is a square
+    mod p is a square in Z_p (Hensel).  Let chi be the Legendre symbol mod p
+    and v_p the p-adic valuation.
 
-    * p divides k but no element.  Each e*e' + k = e*e' (mod p) is a nonzero
-      square, so chi takes one value on all three elements, and any m with
-      chi(m) = chi(e1) makes every e*m + k = e*m a nonzero square.
-    * chi(k) = 1.  m = 0 makes every e*m + k = k a nonzero square.
-    * chi(k) = -1.  No element is divisible by p, since e*e' + k = k (mod p)
-      would then be a non-square.  An m mod p at which exactly one e*m + k
-      is 0 and the other two are nonzero squares serves as well: the p-adic
-      root m = -k/e of that factor makes it exactly 0 and reduces mod each
-      p^j to a residue all three elements allow.  For p >= 29 a count gives
-      an m with every e*m + k a nonzero square.  Coinciding residues impose
-      one condition between them.  For the r <= 3 distinct residues e,
-      2^r times the number of good m is the sum of prod(1 + chi(e*m + k))
-      over the m that are no root -k/e.  Over all m the linear sums vanish,
-      each sum chi((e*m + k)(e'*m + k)) is -chi(e*e') (the roots differ),
-      and the cubic sum is at most 2*sqrt(p) in size (Hasse); each of the r
-      roots adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
-      r = 3, which is positive for p > 25, and 4*count >= p - 5 for r = 2;
-      r = 1 needs one m with e*m + k = 1.  For 3 <= p <= 23 the residues a
-      D(k) triple can have are few: scaling k by a square makes it 1 or the
-      least non-residue mod p, and every e*e' + k is a square or 0 mod p.
-      An exhaustive check over every such k and multiset of residues
-      (test_odd_primes_to_23_leave_a_liftable_common_residue in
-      tests/test_extension.py) finds one of the two kinds of m in each.
-      Nonzero squares alone fall short: {2, 4, 10} with k = 2 mod 13 needs
-      the root m = 6 of 4*m + 2.
+    1. Some element e has 2*v_p(e) < v_p(k).  This covers every e with p
+       not dividing e when p divides k.  Take m = e.  For e' != e, e*e' + k
+       is an integer square, and e^2 + k = e^2*(1 + k/e^2) with k/e^2 in
+       p*Z_p, so the second factor is 1 mod p and a unit square.
+    2. Case 1 fails and k is a square in Z_p.  Take m = 0.
+    3. Neither case holds and p does not divide k.  Then chi(k) = -1, and no
+       element is divisible by p, since e*e' + k = k (mod p) would then be a
+       non-square.  An m mod p at which exactly one e*m + k is 0 and the
+       other two are nonzero squares serves as well as one at which all
+       three are nonzero squares: the p-adic root m = -k/e of that factor
+       makes it exactly 0.  For p >= 29 a count gives an m with every
+       e*m + k a nonzero square.  Coinciding residues impose one condition
+       between them.  For the r <= 3 distinct residues e, 2^r times the
+       number of good m is the sum of prod(1 + chi(e*m + k)) over the m that
+       are no root -k/e.  Over all m the linear sums vanish, each sum
+       chi((e*m + k)(e'*m + k)) is -chi(e*e') (the roots differ), and the
+       cubic sum is at most 2*sqrt(p) in size (Hasse); each of the r roots
+       adds at most 2^(r-1).  So 8*count >= p - 3 - 2*sqrt(p) - 12 for
+       r = 3, which is positive for p > 25, and 4*count >= p - 5 for r = 2;
+       r = 1 needs one m with e*m + k = 1.  For 3 <= p <= 23 the residues a
+       D(k) triple can have are few: scaling k by a square makes it 1 or the
+       least non-residue mod p, and every e*e' + k is a square or 0 mod p.
+       An exhaustive check over every such k and multiset of residues
+       (test_odd_primes_to_23_leave_a_liftable_common_residue in
+       tests/test_extension.py) finds one of the two kinds of m in each.
+       Nonzero squares alone fall short: {2, 4, 10} with k = 2 mod 13 needs
+       the root m = 6 of 4*m + 2.
+    4. Neither case holds and p divides k.  Every v_p(e) is at least
+       v_p(k)/2.  If v_p(e) + v_p(e') > v_p(k) for some pair, then
+       e*e' + k = k*(1 + e*e'/k) is a nonzero square whose second factor is
+       a unit square, which would make k a square in Z_p, against case 2.
+       So all three valuations equal a = v_p(k)/2.  Write e = p^a*u_e and
+       k = p^(2a)*h: the u_e are units, chi(h) = -1, and each
+       u_e*u_e' + h = (r/p^a)^2 is an integer square.  So (u_e; h) is
+       case 3, and its m' gives m = p^a*m'.
 
-    The odd primes dividing k and an element are those of
-    gcd(k, e1*e2*e3), factored with dioph.arith.factorize; it divides k,
-    which the Pell walk factors anyway, and it raises ValueError the same
-    way on a cofactor above TRIAL_DIVISION_BOUND**2.
+    Squareness mod 2^j is decided without a table: write x = 2^v*u with u
+    odd; x is a square mod 2^j exactly when x = 0 mod 2^j, or v is even and
+    u = 1 mod 2^min(j-v, 3).  A modulus that does not certify stops at the
+    first residue m allowed by all three elements; only a certifying modulus
+    enumerates all M residues.
 
-    Squareness mod M = p^j is decided without a table: write x = p^v*u with
-    p not dividing u; x is a square mod p^j exactly when x = 0 mod p^j, or v
-    is even and u is a square mod p^(j-v).  For odd p that is Euler's
-    criterion u^((p-1)/2) = 1 mod p (Hensel lifting carries a root mod p to
-    every p^i); for p = 2 it is u = 1 mod 2^min(j-v, 3).  A modulus that
-    does not certify stops at the first residue m allowed by all three
-    elements, which costs a few modular exponentiations; only a certifying
-    modulus enumerates all M residues.
-
-    The primes are scanned one at a time in ascending order, each through
-    its powers p, p^2, ... upwards while they stay under a bound: at first
-    max_modulus, then one below the least certifying modulus found so far.
-    The first certifying power of p is the least one, so the least
-    certifying modulus up to the cap is the one returned, and only it has
-    its allowed residues listed.  A square mod p^i stays a square mod every
-    p^j with j <= i, so a residue common mod p^i is common mod every
-    smaller power of p.  Two things follow.  The scan of p^(j+1) starts at
-    the least residue common mod p^j, since a residue below it is below p^j
-    and so is not common mod p^(j+1) either.  And once the least common
-    residue mod p^j is also common mod the largest power p^J under the
-    bound, it is common mod every p^i between, so no power of p under the
-    bound can certify and p is settled: its higher powers are not scanned.
+    The powers 2, 4, 8, ... up to max_modulus are scanned upwards, and the
+    first that certifies is returned with its allowed residues listed.  A
+    square mod 2^i stays a square mod every 2^j with j <= i, so a residue
+    common mod 2^i is common mod every smaller power of 2.  Two things
+    follow.  The scan of 2^(j+1) starts at the least residue common mod 2^j,
+    since a residue below it is below 2^j and so is not common mod 2^(j+1)
+    either.  And once the least common residue mod 2^j is also common mod
+    the largest power 2^J under the cap, it is common mod every 2^i between,
+    so no modulus under the cap can certify and the scan stops.
     """
     _require_cap(max_modulus)
     _require_verified_triple(t)
@@ -313,61 +311,35 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     # find_certificate's scan, for a D(k) triple that is already verified
     e1, e2, e3 = t.elements
     k = t.k
-    square = _is_square_mod_prime_power
+    square = _is_square_mod_power_of_2
 
-    def common(m: int, p: int, j: int, M: int) -> bool:
-        return (
-            square(e1 * m + k, p, j, M)
-            and square(e2 * m + k, p, j, M)
-            and square(e3 * m + k, p, j, M)
-        )
+    def common(m: int, j: int) -> bool:
+        return square(e1 * m + k, j) and square(e2 * m + k, j) and square(e3 * m + k, j)
 
-    best = None  # (p, j, p**j) of the least certifying modulus so far
-    bound = max_modulus
-    for p in _certifying_primes(t):
-        top, J = p, 1  # the largest power of p under the bound
-        while top * p <= bound:
-            top, J = top * p, J + 1
-        least = None  # least common residue mod the power below M
-        M, j = p, 1
-        while M <= bound:
-            m = next((m for m in range(least or 0, M) if common(m, p, j, M)), None)
-            if m is None:
-                best, bound = (p, j, M), M - 1
-                break
-            # a carried m was tried mod the top power when it was first found
-            if m != least and common(m, p, J, top):
-                break  # common up to the bound: no power of p can certify
-            least, M, j = m, M * p, j + 1
-    if best is None:
-        return None
-    p, j, M = best
-    allowed = {
-        e: frozenset(m for m in range(M) if square(e * m + k, p, j, M)) for e in t.elements
-    }
-    return ModularCertificate(M, allowed)
+    top = max_modulus.bit_length() - 1  # 2^top is the largest power under the cap
+    least = None  # least common residue mod the power below 2^j
+    for j in range(1, top + 1):
+        M = 1 << j
+        m = next((m for m in range(least or 0, M) if common(m, j)), None)
+        if m is None:
+            allowed = {
+                e: frozenset(m for m in range(M) if square(e * m + k, j)) for e in t.elements
+            }
+            return ModularCertificate(M, allowed)
+        # a carried m was tried mod the top power when it was first found
+        if m != least and common(m, top):
+            return None  # common up to the cap: no power of 2 can certify
+        least = m
+    return None
 
 
-def _is_square_mod_prime_power(x: int, p: int, j: int, q: int) -> bool:
-    # q = p**j; the p-adic criterion of find_certificate's docstring
-    x %= q
+def _is_square_mod_power_of_2(x: int, j: int) -> bool:
+    # the 2-adic criterion of find_certificate's docstring
+    x &= (1 << j) - 1
     if x == 0:
         return True
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    if v & 1:
-        return False
-    if p == 2:
-        return x % (1 << min(j - v, 3)) == 1
-    return pow(x, (p - 1) >> 1, p) == 1
-
-
-def _certifying_primes(t: DiophTuple) -> list[int]:
-    # 2, then the odd primes find_certificate's docstring cannot rule out
-    e1, e2, e3 = t.elements
-    return [2] + [p for p, _ in factorize(gcd(t.k, e1 * e2 * e3)) if p != 2]
+    v = (x & -x).bit_length() - 1
+    return not v & 1 and (x >> v) & ((1 << min(j - v, 3)) - 1) == 1
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

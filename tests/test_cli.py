@@ -127,8 +127,8 @@ class TestExtendCommand:
         assert "Traceback" not in err
 
     def test_huge_modulus_cap_without_certificate_stays_bounded(self, capsys):
-        # only the powers of 2 and of 3, which divides k and 6, can certify
-        # {2, 6, 14} with k = -3, so a cap of 10^12 costs a few moduli
+        # only the powers of 2 can certify {2, 6, 14} with k = -3, and the
+        # scan settles them all at once, so a cap of 10^12 costs a few moduli
         start = time.perf_counter()
         code, out, err = run(
             capsys, "extend", "--set", "2,6,14", "--k", "-3",
@@ -152,6 +152,18 @@ class TestExtendCommand:
         assert json.loads(out)["certificate"]["modulus"] == 4
         assert "Traceback" not in err
         assert elapsed < 10.0, f"extend took {elapsed:.2f}s"
+
+    def test_brute_strategy_certifies_an_unfactorable_k(self, capsys):
+        # {7, 14, 41}*G with k = 2*G^2, G = 10^12 + 39 a prime above the
+        # trial-division bound: the certificate search needs no factorisation
+        code, out, err = run(
+            capsys, "extend", "--set", "7000000000273,14000000000546,41000000001599",
+            "--k", "2000000000156000000003042", "--strategy", "brute", "--max-m", "1000",
+        )
+        assert code == 3
+        assert "certificate: modulus 4" in out
+        assert "verdict: certified_non_extendable" in out
+        assert err == ""
 
     @pytest.mark.parametrize("strategy", ["pell", "brute"])
     @pytest.mark.parametrize(

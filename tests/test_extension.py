@@ -1,12 +1,14 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
+from functools import cache
 from itertools import islice
 from math import gcd, isqrt
 
 import pytest
 
-from dioph.arith import is_perfect_square
+from dioph.arith import factorize, is_perfect_square
 from dioph.cli import main as cli_main
 from dioph.extension import (
     VERDICT_BOUNDED,
@@ -15,9 +17,7 @@ from dioph.extension import (
     ExtensionCandidate,
     ModularCertificate,
     SearchReport,
-    _certifying_primes,
-    _is_square_mod_prime_power,
-    _scan_moduli,
+    _is_square_mod_power_of_2,
     _square_discriminant_solutions,
     brute_force_search,
     certify,
@@ -151,6 +151,59 @@ def default_census_triples():
         for k in range(-5, 6) if k
         for elements in enumerate_triples(150, k)
     ]
+
+
+@cache
+def shared_prime_triples(max_element, max_abs_k):
+    """(t, primes) for each D(k) triple with elements <= max_element and
+    1 <= |k| <= max_abs_k in which an odd prime divides both k and an
+    element; primes are the odd primes of gcd(k, e1*e2*e3)."""
+    out = []
+    for k in range(-max_abs_k, max_abs_k + 1):
+        if not k:
+            continue
+        for e1, e2, e3 in enumerate_triples(max_element, k):
+            primes = tuple(p for p, _ in factorize(gcd(k, e1 * e2 * e3)) if p != 2)
+            if primes:
+                out.append((DiophTuple((e1, e2, e3), k), primes))
+    return tuple(out)
+
+
+def valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def p_adic_witness(t, p, q):
+    """(case, m mod q) from find_certificate's proof for the odd prime p,
+    q a power of p: every e*m + k is then a square in Z_p."""
+    k = t.k
+    vk = valuation(k, p)
+    for e in t.elements:
+        if 2 * valuation(e, p) < vk:
+            return 1, e % q
+    residues = {r * r % p for r in range(1, p)}
+    if vk % 2 == 0 and k // p**vk % p in residues:
+        return 2, 0
+    # cases 3 and 4: all valuations are vk/2, and the unit parts are case 3
+    a = vk // 2
+    assert all(valuation(e, p) == a for e in t.elements), (t, p)
+    s = p**a
+    units = [e // s for e in t.elements]
+    h = k // (s * s)
+    for m in range(p):
+        values = [(u * m + h) % p for u in units]
+        if all(v in residues for v in values):
+            break
+        if values.count(0) == 1 and all(v in residues for v in values if v):
+            m = -h * pow(units[values.index(0)], -1, q) % q  # the p-adic root
+            break
+    else:
+        raise AssertionError(f"no liftable residue for {t} at {p}")
+    return (3 if a == 0 else 4), s * m % q
 
 
 def common_square(p, k, elements, squares):
@@ -537,40 +590,53 @@ class TestFindCertificate:
         assert find_certificate(T_7_14_41, 3) is None
 
     def test_prime_power_scan_matches_full_scan(self):
-        # the reference tries every modulus up to 512, the scan only the
-        # powers of 2 and of the odd primes dividing both k and an element;
-        # up to 2^9, so that the scan settles primes below their top power
-        # and carries common residues from one power to the next
+        # the reference tries every modulus, odd ones included, the scan only
+        # the powers of 2; up to 2^9, so that the scan settles below its top
+        # power and carries common residues from one power to the next, and
+        # to 2^7 on triples that share an odd prime with k
         cases = K2_FIXTURES + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
-        cases += small_dk_triples(4, 40)
-        for t in cases:
-            ref = reference_first_certificate_modulus(t, 512)
-            cert = find_certificate(t, 512)
+        cases = [(t, 512) for t in cases + small_dk_triples(4, 40)]
+        shared = random.Random(23).sample(shared_prime_triples(60, 300), 40)
+        cases += [(t, 128) for t, _ in shared]
+        for t, cap in cases:
+            ref = reference_first_certificate_modulus(t, cap)
+            cert = find_certificate(t, cap)
             got = None if cert is None else cert.modulus
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
-    @pytest.mark.parametrize("elements,k", [((1, 6, 9), 3), ((3, 4, 11), -3)])
-    def test_a_certifying_odd_prime_beats_a_larger_power_of_two(self, elements, k):
-        # No D(k) triple found so far certifies at an odd modulus, so the scan
-        # runs on sets that are not D(k), where 3 divides k and an element:
-        # 2 scans first and certifies at 16, and the bound that 16 sets must
-        # still let 3 in below it
-        t = DiophTuple(elements, k)
-        assert _certifying_primes(t) == [2, 3]
-        assert [M for M in (2, 4, 8, 16) if reference_certifies(t, M)] == [16]
-        cert = _scan_moduli(t, 64)
-        assert cert.modulus == 9 == reference_first_certificate_modulus(t, 64)
-
     def test_square_test_matches_enumeration(self):
-        for p in range(2, 2001):
-            if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-                continue
-            q, j = p, 1
-            while q <= 2000:
-                squares = {r * r % q for r in range(q)}
-                for x in range(-q, 2 * q):
-                    assert _is_square_mod_prime_power(x, p, j, q) == (x % q in squares), (x, q)
-                q, j = q * p, j + 1
+        for j in range(1, 13):
+            q = 1 << j
+            squares = {r * r % q for r in range(q)}
+            for x in range(-q, 2 * q):
+                assert _is_square_mod_power_of_2(x, j) == (x % q in squares), (x, q)
+
+    def test_proof_gives_a_p_adic_witness_at_every_odd_prime(self):
+        # find_certificate's four cases on real triples: every triple with
+        # elements <= 60 and 1 <= |k| <= 300 in which an odd prime divides
+        # k and an element, at each such prime and, since case 3 needs a p
+        # not dividing k, at each odd prime up to 23; the witness is checked
+        # mod every p^j <= 2000 by direct enumeration of the squares
+        squares = {}
+        cases = Counter()
+        pairs = 0
+        for t, shared in shared_prime_triples(60, 300):
+            pairs += len(shared)
+            for p in sorted(set(shared) | set(ODD_PRIMES_TO_23)):
+                top = p
+                while top * p <= 2000:
+                    top *= p
+                case, m = p_adic_witness(t, p, top)
+                cases[case] += 1
+                q = p
+                while q <= top:
+                    if q not in squares:
+                        squares[q] = {r * r % q for r in range(q)}
+                    sq = squares[q]
+                    assert all((e * m + t.k) % q in sq for e in t.elements), (t, p, case, q)
+                    q *= p
+        assert pairs == 3618
+        assert sorted(cases) == [1, 2, 3, 4]
 
     def test_every_prime_from_29_leaves_a_common_square(self):
         # the character-sum case of find_certificate's docstring, exhaustively:
@@ -604,17 +670,14 @@ class TestFindCertificate:
         assert [(e * 6 + 2) % 13 for e in (2, 4, 10)] == [1, 0, 10]
         assert {1, 10} <= squares
 
-    def test_no_unshared_odd_prime_power_certifies_a_census_triple(self):
+    def test_no_odd_prime_power_certifies_a_census_triple(self):
         # the proof's conclusion on real triples, by direct enumeration of
         # the squares mod each p^j <= 512, stopping at the first residue
         # common to all three elements
         squares = {}
         for t in default_census_triples():
             e1, e2, e3 = t.elements
-            shared = gcd(t.k, e1 * e2 * e3)
             for p in ODD_PRIMES_TO_23:
-                if shared % p == 0:
-                    continue
                 q = p
                 while q <= 512:
                     if q not in squares:
@@ -628,23 +691,21 @@ class TestFindCertificate:
                     ), (t, q)
                     q *= p
 
-    def test_scan_adds_the_odd_primes_dividing_k_and_an_element(self):
-        cases = [
-            (DiophTuple((1, 31, 32), -31), [31]),
-            (DiophTuple((1, 17, 18), -17), [17]),
-            (DiophTuple((1, 5, 18), 31), []),  # 31 divides k but no element
-            (DiophTuple((6, 319, 383), -29 * 37), [29]),  # 319 = 11*29; 37 divides none
-            (T_7_14_41, []),
-        ]
-        for t, extra in cases:
-            assert _certifying_primes(t) == [2] + extra, t
-
     def test_uncertifiable_triple_scans_a_huge_cap_quickly(self):
         start = time.perf_counter()
         cert = find_certificate(DiophTuple((2, 6, 14), -3), 10**9)
         elapsed = time.perf_counter() - start
         assert cert is None
         assert elapsed < 0.5, f"scan took {elapsed:.2f}s"
+
+    def test_certifies_without_factoring_k(self):
+        # k = 2*G^2 with G = 10^12 + 39 a prime above the trial-division
+        # bound, so k cannot be factored; the scan never factors it
+        G = 10**12 + 39
+        t = DiophTuple((7 * G, 14 * G, 41 * G), 2 * G * G)
+        cert = find_certificate(t, 512)
+        assert cert.modulus == 4
+        assert verify_certificate(cert, t)
 
     def test_huge_cap_settles_small_certificate(self):
         tracemalloc.start()
