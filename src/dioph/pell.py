@@ -2,14 +2,14 @@
 
 Continued-fraction expansion of sqrt(D), the fundamental solution of the unit
 equation (N = 1), the complete set of solution classes of the generalized
-equation for arbitrary N != 0, and the walk through a class by increasing y,
-of which the unit sequence is the class of (1, 0).
+equation for arbitrary N != 0, and the walk through a class by increasing y;
+the solutions of the unit equation are the one class, that of (1, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product, takewhile
+from itertools import product
 from math import isqrt
 from typing import Iterator
 
@@ -22,7 +22,6 @@ __all__ = [
     "PellClass",
     "sqrt_cf",
     "fundamental_solution",
-    "unit_sequence",
     "solve_general",
 ]
 
@@ -108,15 +107,6 @@ def _units(cf: CFExpansion, D: int) -> tuple[PellSolution, PellSolution | None]:
     return PellSolution(p1 * p1 + D * q1 * q1, 2 * p1 * q1), PellSolution(p1, q1)
 
 
-def unit_sequence(D: int, count: int) -> list[PellSolution]:
-    """The first `count` solutions of x^2 - D*y^2 = 1, starting at (1, 0):
-    the first `count` solutions of the class of (1, 0)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    units = PellClass(PellProblem(D), PellSolution(1, 0), fundamental_solution(D))
-    return list(islice(units.solutions(), count))
-
-
 @dataclass(frozen=True)
 class PellClass:
     """One class of solutions of x^2 - D*y^2 = N: the members +/- rep * unit**n
@@ -177,13 +167,6 @@ class PellClass:
                 yield PellSolution(u, v)
             elif u <= 0 and v <= 0:
                 yield PellSolution(-u, -v)
-
-    def nonnegative(self, max_y: int) -> list[PellSolution]:
-        """All solutions with x >= 0 and 0 <= y <= max_y lying in this class,
-        ascending: the walk of solutions() cut at y > max_y."""
-        if max_y < 0:
-            raise ValueError("max_y must be >= 0")
-        return list(takewhile(lambda s: s.y <= max_y, self.solutions()))
 
 
 def solve_general(problem: PellProblem) -> list[PellClass]:

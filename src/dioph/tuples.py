@@ -4,8 +4,8 @@ A D(k) set is a set of distinct positive integers such that the product of
 any two elements plus k is a perfect square.  This module verifies the
 property, walks the m that make a*m + k a square, enumerates the triples
 below a bound, classifies triples as regular or not, reduces a pair
-condition to a generalized Pell equation, and evaluates residue
-obstructions.
+condition to a generalized Pell equation, and tells whether k = 2 (mod 4)
+rules out every D(k) quadruple.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from .arith import is_perfect_square, legendre
+from .arith import is_perfect_square
 
 __all__ = [
     "DiophTuple",
@@ -26,7 +26,6 @@ __all__ = [
     "square_points",
     "is_regular",
     "reduce_pair",
-    "residue_obstruction",
     "mod4_quadruple_obstruction",
 ]
 
@@ -215,16 +214,6 @@ def reduce_pair(a: int, b: int, k: int) -> PairReduction:
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     _require_shift(k)
     return PairReduction(a, b, k, a * b, k * b * (b - a))
-
-
-def residue_obstruction(k: int, p: int) -> bool:
-    """Whether no element of any D(k) set can be divisible by the odd prime p.
-
-    True exactly when (k/p) = -1: then t*m + k with p | t is a non-residue
-    mod p, so it is never a perfect square.
-    """
-    _require_shift(k)
-    return legendre(k, p) == -1
 
 
 def mod4_quadruple_obstruction(k: int) -> bool:

@@ -12,20 +12,19 @@ from collections import defaultdict
 from contextlib import contextmanager
 from math import isqrt
 
-from dioph.arith import is_perfect_square
+from dioph.arith import is_perfect_square, legendre
 from dioph.extension import (
     brute_force_search,
     find_certificate,
     pell_extension_search,
     verify_certificate,
 )
-from dioph.pell import PellProblem, fundamental_solution, solve_general, unit_sequence
+from dioph.pell import PellProblem, fundamental_solution, solve_general
 from dioph.tuples import (
     DiophTuple,
     enumerate_triples,
     is_regular,
     mod4_quadruple_obstruction,
-    residue_obstruction,
     verify,
 )
 
@@ -108,7 +107,8 @@ def test_criterion_3_pell_golden_values(capsys):
         f48 = fundamental_solution(48)
         assert (f48.x, f48.y) == (7, 1)
         assert 2 * f48.x == 14
-        seq = unit_sequence(8, 5)
+        (units,) = solve_general(PellProblem(8, 1))
+        seq = list(itertools.islice(units.solutions(), 5))
         assert [(s.x, s.y) for s in seq] == [
             (1, 0),
             (3, 1),
@@ -179,9 +179,10 @@ def test_criterion_6_modular_certificates(capsys):
 
 def test_criterion_7_residue_obstructions(capsys):
     with criterion(capsys, 7, "residue and mod-4 obstructions"):
-        assert residue_obstruction(2, 3)
-        assert residue_obstruction(2, 5)
-        assert residue_obstruction(-3, 5)
+        # (k/p) = -1 excludes the multiples of p from every D(k) set
+        assert legendre(2, 3) == -1
+        assert legendre(2, 5) == -1
+        assert legendre(-3, 5) == -1
         assert mod4_quadruple_obstruction(2)
         # cross-check of the k=2, p=3 exclusion over [1, 10^4]: if t*s+2=r^2
         # with t,s <= 10^4 and 3 | t then r <= 10^4 and r^2 = 2 mod 3, so it
@@ -240,5 +241,6 @@ def test_criterion_9_general_solver_completeness(capsys):
                     continue
                 got = set()
                 for cls in solve_general(PellProblem(D, N)):
-                    got.update((s.x, s.y) for s in cls.nonnegative(10**4))
+                    window = itertools.takewhile(lambda s: s.y <= 10**4, cls.solutions())
+                    got.update((s.x, s.y) for s in window)
                 assert got == oracle[N], (D, N, sorted(got ^ oracle[N])[:5])

@@ -35,13 +35,19 @@ def test_default_run_certificate_moduli():
     assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--limit", "0"], ["--show", "-1"], ["--bound-index", "-1"], ["--max-modulus", "1"]],
-)
+@pytest.mark.parametrize("argv", [["--limit", "0"], ["--show", "-1"]])
 def test_bad_bound_is_usage_error(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {argv[0]} must be >= ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--bound-index", "15"), ("--max-modulus", "512")])
+def test_search_settings_are_not_options(capsys, flag, value):
+    # the census searches at depth 15 and cap 512, whatever it is asked
+    assert main([flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err

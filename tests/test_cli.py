@@ -267,6 +267,36 @@ class TestPellCommand:
         ]
 
 
+    @pytest.mark.parametrize(
+        "d,count,text,payload",
+        [
+            (
+                "8", "5",
+                "x^2 - 8*y^2 = 1\n"
+                "fundamental solution of the unit equation: (3, 1); recurrence coefficient 6\n"
+                "  (1, 0)\n  (3, 1)\n  (17, 6)\n  (99, 35)\n  (577, 204)\n",
+                {"coefficient": 6, "d": 8, "fundamental": {"x": 3, "y": 1}, "n": 1,
+                 "solutions": [[1, 0], [3, 1], [17, 6], [99, 35], [577, 204]]},
+            ),
+            (
+                "48", "4",
+                "x^2 - 48*y^2 = 1\n"
+                "fundamental solution of the unit equation: (7, 1); recurrence coefficient 14\n"
+                "  (1, 0)\n  (7, 1)\n  (97, 14)\n  (1351, 195)\n",
+                {"coefficient": 14, "d": 48, "fundamental": {"x": 7, "y": 1}, "n": 1,
+                 "solutions": [[1, 0], [7, 1], [97, 14], [1351, 195]]},
+            ),
+        ],
+        ids=["d8", "d48"],
+    )
+    def test_unit_equation_bytes(self, capsys, d, count, text, payload):
+        assert run(capsys, "pell", "--d", d, "--count", count) == (0, text, "")
+        # canonical JSON: sorted keys, two-space indent
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json_out = run(capsys, "pell", "--d", d, "--count", count, "--output", "json")
+        assert json_out == (0, expected, "")
+
+
 class TestObstructCommand:
     def test_excluded(self, capsys):
         code, out, _ = run(capsys, "obstruct", "--k", "2", "--prime", "3")
@@ -406,13 +436,10 @@ FUZZED_ARGV = st.one_of(
         st.integers(min_value=-2, max_value=25),
         st.integers(min_value=-4, max_value=4),
         st.integers(min_value=-4, max_value=4),
-        st.integers(min_value=-2, max_value=6),
-        st.integers(min_value=-2, max_value=600),
         st.integers(min_value=-1, max_value=4),
     ).map(
         lambda c: [
-            "census", f"--limit={c[0]}", f"--k-min={c[1]}", f"--k-max={c[2]}",
-            f"--bound-index={c[3]}", f"--max-modulus={c[4]}", f"--show={c[5]}",
+            "census", f"--limit={c[0]}", f"--k-min={c[1]}", f"--k-max={c[2]}", f"--show={c[3]}",
         ]
     ),
     st.lists(st.text(max_size=10), max_size=5),

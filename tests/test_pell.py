@@ -1,6 +1,7 @@
+import json
 import random
 import time
-from itertools import islice
+from itertools import islice, takewhile
 from math import isqrt
 
 import pytest
@@ -14,11 +15,21 @@ from dioph.pell import (
     fundamental_solution,
     solve_general,
     sqrt_cf,
-    unit_sequence,
 )
+from dioph.cli import main
 from dioph.tuples import reduce_pair
 
 NONSQUARE_D = [D for D in range(2, 200) if is_perfect_square(D) is None]
+
+
+def unit_solutions(D, count):
+    """The first count solutions of x^2 - D*y^2 = 1: those of its one class."""
+    (cls,) = solve_general(PellProblem(D, 1))
+    return list(islice(cls.solutions(), count))
+
+
+def up_to(cls, max_y):
+    return list(takewhile(lambda s: s.y <= max_y, cls.solutions()))
 
 
 def brute_solutions(D, N, max_y):
@@ -93,7 +104,7 @@ class TestFundamentalSolution:
 
 class TestUnitSequence:
     def test_frozen_values_d8(self):
-        assert unit_sequence(8, 5) == [
+        assert unit_solutions(8, 5) == [
             PellSolution(1, 0),
             PellSolution(3, 1),
             PellSolution(17, 6),
@@ -102,7 +113,7 @@ class TestUnitSequence:
         ]
 
     def test_frozen_values_d48(self):
-        assert unit_sequence(48, 4) == [
+        assert unit_solutions(48, 4) == [
             PellSolution(1, 0),
             PellSolution(7, 1),
             PellSolution(97, 14),
@@ -114,15 +125,19 @@ class TestUnitSequence:
         assert 2 * fundamental_solution(8).x == 6
         assert 2 * fundamental_solution(48).x == 14
 
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            unit_sequence(8, 0)
-        assert unit_sequence(8, 1) == [PellSolution(1, 0)]
+    def test_count_validation(self, capsys):
+        # the count is a CLI bound; the library walk has no end
+        assert main(["pell", "--d", "8", "--count", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --count must be >= 1\n"
+        assert main(["pell", "--d", "8", "--count", "1", "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solutions"] == [[1, 0]]
 
     @given(st.sampled_from(NONSQUARE_D), st.integers(min_value=2, max_value=12))
     @settings(max_examples=40, deadline=None)
     def test_every_term_solves_unit_equation(self, D, count):
-        seq = unit_sequence(D, count)
+        seq = unit_solutions(D, count)
         assert len(seq) == count
         c = 2 * seq[1].x
         for i, s in enumerate(seq):
@@ -165,17 +180,12 @@ class TestPellClass:
         unit = fundamental_solution(8)
         for member in [PellSolution(17, 6), PellSolution(-99, 35)]:
             cls = PellClass(PellProblem(8, 1), member, unit)
-            assert list(islice(cls.solutions(), 4)) == unit_sequence(8, 4)
-            assert cls.nonnegative(35) == unit_sequence(8, 4)
+            assert list(islice(cls.solutions(), 4)) == unit_solutions(8, 4)
+            assert up_to(cls, 35) == unit_solutions(8, 4)
             assert list(islice(cls.walk(), 3)) == [(1, 0), (3, 1), (17, 6)]
         # the class of (0, 1) of x^2 - 2*y^2 = -2, built on (-24, 17)
         cls = PellClass(PellProblem(2, -2), PellSolution(-24, 17), fundamental_solution(2))
         assert list(islice(cls.walk(), 3)) == [(0, 1), (4, 3), (24, 17)]
-
-    def test_nonnegative_rejects_a_negative_bound(self):
-        cls = solve_general(PellProblem(8, 1))[0]
-        with pytest.raises(ValueError, match="max_y must be >= 0"):
-            cls.nonnegative(-1)
 
     @given(
         st.sampled_from(NONSQUARE_D),
@@ -198,24 +208,30 @@ class TestSolveGeneral:
     def test_single_class_examples(self):
         classes = solve_general(PellProblem(2, -2))
         assert len(classes) == 1
-        assert [(s.x, s.y) for s in classes[0].nonnegative(100)] == [
+        assert [(s.x, s.y) for s in up_to(classes[0], 100)] == [
             (0, 1),
             (4, 3),
             (24, 17),
             (140, 99),
         ]
-        assert list(islice(classes[0].solutions(), 4)) == classes[0].nonnegative(100)
+        assert list(islice(classes[0].solutions(), 4)) == up_to(classes[0], 100)
 
     def test_unit_equation_as_general_case(self):
         classes = solve_general(PellProblem(8, 1))
         assert len(classes) == 1
-        assert [(s.x, s.y) for s in classes[0].nonnegative(100)] == [
+        assert [(s.x, s.y) for s in up_to(classes[0], 100)] == [
             (1, 0),
             (3, 1),
             (17, 6),
             (99, 35),
         ]
-        assert list(islice(classes[0].solutions(), 4)) == classes[0].nonnegative(100)
+        assert list(islice(classes[0].solutions(), 4)) == up_to(classes[0], 100)
+        # the unit equation is one class, that of (1, 0), for every D
+        for D in range(2, 1000):
+            if is_perfect_square(D) is None:
+                (cls,) = solve_general(PellProblem(D, 1))
+                assert cls.rep == PellSolution(1, 0)
+                assert cls.unit == fundamental_solution(D)
 
     def test_insoluble_case_gives_no_classes(self):
         # x^2 = 2 mod 3 has no solution
@@ -229,7 +245,7 @@ class TestSolveGeneral:
         assert reps == {(1, 1), (-1, 1), (4, 2)}
         union = set()
         for c in classes:
-            union.update((s.x, s.y) for s in c.nonnegative(100))
+            union.update((s.x, s.y) for s in up_to(c, 100))
         assert union == {(1, 1), (4, 2), (11, 5), (29, 13), (76, 34), (199, 89)}
 
     def test_mirrored_representatives_both_kept(self):
@@ -313,7 +329,7 @@ class TestSolveGeneral:
         window = brute_solutions(D, N, 500)
         got = set()
         for cls in solve_general(PellProblem(D, N)):
-            got.update((s.x, s.y) for s in cls.nonnegative(500))
+            got.update((s.x, s.y) for s in up_to(cls, 500))
             # the walk meets the class's part of the window first, in order
             expected = [s for s in window if _same_class(D, N, *s, cls.rep.x, cls.rep.y)]
             first = list(islice(cls.solutions(), len(expected) + 1))

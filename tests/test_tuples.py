@@ -3,14 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.arith import is_perfect_square
+from dioph.arith import is_perfect_square, legendre
 from dioph.tuples import (
     DiophTuple,
     enumerate_triples,
     is_regular,
     mod4_quadruple_obstruction,
     reduce_pair,
-    residue_obstruction,
     verify,
 )
 
@@ -215,25 +214,26 @@ class TestReducePair:
 
 
 class TestObstructions:
+    # multiples of the odd prime p are excluded from every D(k) set exactly
+    # when (k/p) = -1, the symbol `dioph obstruct` prints
     def test_residue_examples(self):
-        assert residue_obstruction(2, 3)
-        assert residue_obstruction(2, 5)
-        assert residue_obstruction(-3, 5)
-        assert not residue_obstruction(1, 3)
-        assert not residue_obstruction(6, 3)  # k = 0 mod p: no exclusion
+        assert legendre(2, 3) == -1
+        assert legendre(2, 5) == -1
+        assert legendre(-3, 5) == -1
+        assert legendre(1, 3) != -1
+        assert legendre(6, 3) != -1  # k = 0 mod p: no exclusion
 
     def test_residue_requires_verified_prime(self):
         with pytest.raises(ValueError):
-            residue_obstruction(2, 4)
+            legendre(2, 4)
         with pytest.raises(ValueError):
-            residue_obstruction(2, 15)
+            legendre(2, 15)
 
     def test_residue_obstruction_is_sound(self):
         # if k is a non-residue mod p, no t divisible by p admits any s with
         # t*s + k square: t*s + k = k mod p would need k to be a residue
         for k, p in [(2, 3), (2, 5), (-3, 5), (3, 7)]:
-            if not residue_obstruction(k, p):
-                continue
+            assert legendre(k, p) == -1
             for t in range(p, 200, p):
                 for s in range(1, 200):
                     assert is_perfect_square(t * s + k) is None
@@ -247,7 +247,5 @@ class TestObstructions:
         assert not mod4_quadruple_obstruction(4)
 
     def test_zero_shift_is_rejected(self):
-        with pytest.raises(ValueError, match="the shift k must be nonzero"):
-            residue_obstruction(0, 3)
         with pytest.raises(ValueError, match="the shift k must be nonzero"):
             mod4_quadruple_obstruction(0)
