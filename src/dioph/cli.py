@@ -26,8 +26,7 @@ from .extension import (
     VERDICT_EXTENDED,
     ModularCertificate,
     SearchReport,
-    brute_force_search,
-    certify,
+    _search,
     search_and_certify,
 )
 from .pell import PellProblem, fundamental_solution, solve_general
@@ -197,10 +196,12 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     # every bound is checked, whichever strategy runs
     _check_bounds(args, bound_index=0, max_m=1, max_modulus=2)
     t = _parse_tuple(args)
+    # either strategy runs search_and_certify's stages: a certificate first,
+    # the walk only when none exists
     if args.strategy == "brute":
-        report = certify(brute_force_search(t, args.max_m), args.max_modulus)
+        report = _search(t, "brute_force", args.max_m, args.max_modulus)
     else:
-        report = search_and_certify(t, args.bound_index, args.max_modulus)
+        report = _search(t, "pell_sequence", args.bound_index, args.max_modulus)
     if args.output == "json":
         print(_canonical_json(_report_payload(report)))
     else:

@@ -9,18 +9,20 @@ Two search strategies produce candidate fourth elements m:
   element e with the shortest such walk, up to a bound on m; it is the
   oracle the Pell route is measured against.
 
-When no complete candidate exists, ``find_certificate`` (which ``certify``
-attaches to a search report) looks for a modulus M at which the three
-allowed residue sets for m have empty intersection: a finite,
-machine-checkable proof that no extension exists at all.  It tries
-only the powers of 2, since no power of an odd prime can certify.
+``find_certificate`` looks for a modulus M at which the three allowed
+residue sets for m have empty intersection: a finite, machine-checkable
+proof that no extension exists at all.  It tries only the powers of 2,
+since no power of an odd prime can certify.  ``search_and_certify`` runs
+that scan first and walks only a triple it leaves uncertified: a
+certificate excludes every integer m, so no walk could extend a
+certified triple.
 ``verify_certificate`` re-derives a claimed certificate from scratch and
 deliberately shares no residue-set code with the finder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
@@ -36,7 +38,6 @@ __all__ = [
     "brute_force_search",
     "find_certificate",
     "verify_certificate",
-    "certify",
     "search_and_certify",
 ]
 
@@ -109,9 +110,27 @@ def _require_verified_triple(t: DiophTuple) -> None:
         )
 
 
-def _require_cap(max_modulus: int) -> None:
-    if max_modulus < 2:
-        raise ValueError("max_modulus must be >= 2")
+def _require_bound(name: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
+
+
+def _search(
+    t: DiophTuple, strategy: str, bound: int, max_modulus: int | None = None
+) -> SearchReport:
+    # The stages every search runs, in order: check the bounds (the cap
+    # first), verify t once, and, when there is a cap, scan for a
+    # certificate; the strategy's walk runs only when none certifies.
+    walk, name, floor = _STRATEGIES[strategy]
+    if max_modulus is not None:
+        _require_bound("max_modulus", max_modulus, 2)
+    _require_bound(name, bound, floor)
+    _require_verified_triple(t)
+    if max_modulus is not None:
+        cert = _scan_moduli(t, max_modulus)
+        if cert is not None:
+            return SearchReport(t, strategy, bound, (), (), cert)
+    return walk(t, bound)
 
 
 def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
@@ -143,9 +162,11 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     |k*b*(b-a)| is factored by trial division, which raises ValueError when
     it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
-    _require_verified_triple(t)
+    return _search(t, "pell_sequence", max_index)
+
+
+def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
+    # pell_extension_search's walk, for a D(k) triple that is already verified
     a, b, c = elements = t.elements
     k = t.k
     red = reduce_pair(a, b, k)
@@ -210,9 +231,11 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     complete candidates only, ascending in m; an element of t that meets
     the a- and b-conditions (a < b the two smallest) is in self_hits.
     """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    _require_verified_triple(t)
+    return _search(t, "brute_force", max_m)
+
+
+def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
+    # brute_force_search's walk, for a D(k) triple that is already verified
     a, b, _ = elements = t.elements
     k = t.k
     e = min(elements, key=lambda e: max_m if e > max_m
@@ -232,6 +255,13 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
                  and is_perfect_square(a * h + k) is not None
                  and is_perfect_square(b * h + k) is not None)
     return SearchReport(t, "brute_force", max_m, tuple(found), hits)
+
+
+# each strategy's walk, the name of its bound, and the least bound it takes
+_STRATEGIES = {
+    "pell_sequence": (_pell_walk, "max_index", 0),
+    "brute_force": (_brute_force_walk, "max_m", 1),
+}
 
 
 def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
@@ -302,7 +332,7 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     the largest power 2^J under the cap, it is common mod every 2^i between,
     so no modulus under the cap can certify and the scan stops.
     """
-    _require_cap(max_modulus)
+    _require_bound("max_modulus", max_modulus, 2)
     _require_verified_triple(t)
     return _scan_moduli(t, max_modulus)
 
@@ -369,28 +399,18 @@ def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
     return not common
 
 
-def certify(report: SearchReport, max_modulus: int) -> SearchReport:
-    """report with find_certificate's certificate attached, if one exists.
-
-    A report that extends its triple comes back unchanged; max_modulus < 2
-    raises ValueError either way.  The search that made the report has
-    verified its triple, so it is not verified again here.
-    """
-    _require_cap(max_modulus)
-    if report.verdict == VERDICT_EXTENDED:
-        return report
-    cert = _scan_moduli(report.triple, max_modulus)
-    return report if cert is None else replace(report, certificate=cert)
-
-
 def search_and_certify(
     t: DiophTuple,
     max_index: int = 30,
     max_modulus: int = 10**5,
 ) -> SearchReport:
-    """Pell search first; when nothing extends, attempt a certificate.
+    """Certificate first; the Pell walk only when no certificate exists.
 
-    max_modulus is checked before the walk, so a bad cap fails fast.
+    The bounds are checked, max_modulus first, and t is verified once.
+    The powers of 2 up to max_modulus are then scanned as find_certificate
+    does.  A certified report has no candidates and no self-hits: the
+    certificate excludes every integer m, so the walk could not extend the
+    triple, and it is skipped.  Otherwise the report is
+    pell_extension_search(t, max_index)'s, an extended or a bounded one.
     """
-    _require_cap(max_modulus)
-    return certify(pell_extension_search(t, max_index), max_modulus)
+    return _search(t, "pell_sequence", max_index, max_modulus)

@@ -84,13 +84,21 @@ class TestClassifyCommand:
 
 class TestExtendCommand:
     def test_certified_triple(self, capsys):
-        code, out, _ = run(capsys, "extend", "--set", "7,14,41", "--k", "2")
+        # the certificate comes first, and a certified triple is not walked:
+        # no candidates, no self-hits
+        code, out, err = run(capsys, "extend", "--set", "7,14,41", "--k", "2")
         assert code == 3
-        assert "m=1: roots 7->3, 14->4; fails the third condition" in out
-        assert "self-hits (m already in the set): 41" in out
-        assert "certificate: modulus 4" in out
-        assert "m mod 4 allowed by 41: {2, 3}" in out
-        assert "verdict: certified_non_extendable" in out
+        assert out == (
+            "{7, 14, 41} with k=2\n"
+            "strategy pell_sequence, unit-index bound 30\n"
+            "certificate: modulus 4\n"
+            "  m mod 4 allowed by 7: {1, 2}\n"
+            "  m mod 4 allowed by 14: {1, 3}\n"
+            "  m mod 4 allowed by 41: {2, 3}\n"
+            "  intersection: empty\n"
+            "verdict: certified_non_extendable\n"
+        )
+        assert err == ""
 
     def test_extended_triple(self, capsys):
         code, out, _ = run(
@@ -165,6 +173,23 @@ class TestExtendCommand:
         assert "verdict: certified_non_extendable" in out
         assert err == ""
 
+    def test_pell_strategy_certifies_an_unfactorable_k(self, capsys):
+        # the same triple with the default strategy: the certificate comes
+        # before the walk, so |k*b*(b-a)| is never factored
+        unfactorable = ("extend", "--set", "7000000000273,14000000000546,41000000001599",
+                        "--k", "2000000000156000000003042")
+        code, out, err = run(capsys, *unfactorable)
+        assert code == 3
+        assert "strategy pell_sequence, unit-index bound 30" in out
+        assert "certificate: modulus 4" in out
+        assert "verdict: certified_non_extendable" in out
+        assert err == ""
+        # below the certifying modulus the walk runs, and cannot factor
+        code, out, err = run(capsys, *unfactorable, "--max-modulus", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot factor ")
+
     @pytest.mark.parametrize("strategy", ["pell", "brute"])
     @pytest.mark.parametrize(
         "flag,value",
@@ -189,20 +214,19 @@ class TestExtendCommand:
             capsys, "extend", "--set", "7,14,41", "--k", "2", "--output", "json"
         )
         assert code == 3
-        payload = json.loads(out)
-        assert payload["strategy"] == "pell_sequence"
-        assert payload["verdict"] == "certified_non_extendable"
-        assert payload["self_hits"] == [41]
-        first = payload["candidates"][0]
-        assert first["m"] == 1
-        assert first["complete"] is False
-        assert first["witnesses"] == {"7": 3, "14": 4}
-        cert = payload["certificate"]
-        assert cert["modulus"] == 4
-        assert cert["allowed_residues"] == {
-            "7": [1, 2],
-            "14": [1, 3],
-            "41": [2, 3],
+        assert json.loads(out) == {
+            "set": [7, 14, 41],
+            "k": 2,
+            "strategy": "pell_sequence",
+            "bound": 30,
+            "verdict": "certified_non_extendable",
+            # a certified triple is not walked
+            "self_hits": [],
+            "candidates": [],
+            "certificate": {
+                "modulus": 4,
+                "allowed_residues": {"7": [1, 2], "14": [1, 3], "41": [2, 3]},
+            },
         }
 
 

@@ -1,10 +1,13 @@
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +21,9 @@ from dioph.extension import (
     ModularCertificate,
     SearchReport,
     _is_square_mod_power_of_2,
+    _search,
     _square_discriminant_solutions,
     brute_force_search,
-    certify,
     find_certificate,
     pell_extension_search,
     search_and_certify,
@@ -764,11 +767,13 @@ class TestVerifyCertificate:
 
 class TestSearchAndCertify:
     def test_certified_outranks_bounded(self):
+        # the certificate comes first, and a certified triple is not walked
         report = search_and_certify(T_7_14_41)
+        assert report == SearchReport(
+            T_7_14_41, "pell_sequence", 30, (), (), find_certificate(T_7_14_41, 10**5)
+        )
         assert report.verdict == VERDICT_CERTIFIED
-        assert report.certificate is not None
         assert report.certificate.modulus == 4
-        assert report.self_hits == (41,)
 
     def test_extension_found_means_no_certificate_exists(self):
         report = search_and_certify(T_1_3_8, max_modulus=300)
@@ -788,20 +793,21 @@ class TestSearchAndCertify:
             search_and_certify(T_1_3_8, 30, max_modulus)
         with pytest.raises(ValueError, match="max_modulus must be >= 2"):
             search_and_certify(T_1_3_8, -1, max_modulus)
-        # certify rejects it too, whatever the verdict
-        for report in (pell_extension_search(T_1_3_8, 30), brute_force_search(T_7_14_41, 100)):
+        # the brute-force stages reject it too, whatever the verdict
+        for t in (T_1_3_8, T_7_14_41):
             with pytest.raises(ValueError, match="max_modulus must be >= 2"):
-                certify(report, max_modulus)
+                _search(t, "brute_force", 100, max_modulus)
 
     def test_certify_leaves_an_extended_report_unchanged(self):
-        report = pell_extension_search(T_1_3_8, 30)
-        assert certify(report, 300) is report
+        report = search_and_certify(T_1_3_8, 30, 300)
+        assert repr(report) == repr(pell_extension_search(T_1_3_8, 30))
 
     def test_certify_attaches_a_certificate_to_a_brute_force_report(self):
-        report = certify(brute_force_search(T_7_14_41, 10**4), 10**4)
-        assert report.strategy == "brute_force"
+        report = _search(T_7_14_41, "brute_force", 10**4, 10**4)
+        assert report == SearchReport(
+            T_7_14_41, "brute_force", 10**4, (), (), find_certificate(T_7_14_41, 10**4)
+        )
         assert report.verdict == VERDICT_CERTIFIED
-        assert report.certificate == find_certificate(T_7_14_41, 10**4)
         assert report.certificate.modulus == 4
 
     def test_bounded_when_certificate_out_of_reach(self):
@@ -839,3 +845,90 @@ class TestVerifiesOncePerSearch:
         argv = ["extend", "--set", "7,14,41", "--k", "2", "--strategy", "brute", "--max-m", "1000"]
         assert cli_main(argv) == 3
         assert verify_calls == [T_7_14_41]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@cache
+def benchmark_pool() -> tuple[DiophTuple, ...]:
+    # the benchmark's own pool, every D(k) triple with elements <= 300 and
+    # 1 <= |k| <= 8, enumerated without dioph
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import pool
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tuple(DiophTuple(elements, k) for elements, k in pool.triple_pool())
+
+
+@cache
+def census_triples() -> tuple[DiophTuple, ...]:
+    # the default census: elements <= 150, k in [-5, 5]
+    return tuple(DiophTuple(e, k) for k in range(-5, 6) if k for e in enumerate_triples(150, k))
+
+
+def walk_first(t, strategy, bound, max_modulus):
+    """The walk, then find_certificate when nothing extends: the order that
+    search_and_certify's certificate-first stages must agree with."""
+    search = {"pell_sequence": pell_extension_search, "brute_force": brute_force_search}
+    report = search[strategy](t, bound)
+    if report.verdict == VERDICT_EXTENDED:
+        return report
+    cert = find_certificate(t, max_modulus)
+    return report if cert is None else replace(report, certificate=cert)
+
+
+class TestCertificateFirst:
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+
+        def counting_solve_general(problem):
+            calls.append(problem)
+            return solve_general(problem)
+
+        monkeypatch.setattr("dioph.extension.solve_general", counting_solve_general)
+        return calls
+
+    @pytest.mark.parametrize("strategy,bound", [("pell_sequence", 15), ("brute_force", 10**4)])
+    @pytest.mark.parametrize(
+        "triples,size", [(benchmark_pool, 2033), (census_triples, 618)], ids=["pool", "census"]
+    )
+    def test_agrees_with_the_walk_first_order(self, triples, size, strategy, bound):
+        triples = triples()
+        assert len(triples) == size
+        verdicts = Counter()
+        for t in triples:
+            report = _search(t, strategy, bound, 512)
+            expected = walk_first(t, strategy, bound, 512)
+            assert report.verdict == expected.verdict, t
+            assert report.certificate == expected.certificate, t
+            if report.verdict == VERDICT_CERTIFIED:
+                assert report == replace(expected, candidates=(), self_hits=()), t
+            else:
+                assert repr(report) == repr(expected), t
+            verdicts[report.verdict] += 1
+        if strategy == "pell_sequence":
+            counts = {2033: (637, 777, 619), 618: (249, 228, 141)}[size]
+            assert verdicts == dict(zip(
+                (VERDICT_EXTENDED, VERDICT_CERTIFIED, VERDICT_BOUNDED), counts
+            ))
+
+    def test_a_certified_triple_is_not_walked(self, solve_calls):
+        assert search_and_certify(T_7_14_41).verdict == VERDICT_CERTIFIED
+        assert solve_calls == []
+        # below its certifying modulus 4 the walk runs
+        assert search_and_certify(T_7_14_41, 30, 3).verdict == VERDICT_BOUNDED
+        assert len(solve_calls) == 1
+
+    def test_the_pool_walks_only_its_uncertified_triples(self, solve_calls):
+        # 2023 of the 2033 pool triples reduce to a non-square discriminant;
+        # the 772 of them that a power of 2 up to 512 certifies are not walked
+        for t in benchmark_pool():
+            search_and_certify(t, 15, 512)
+        assert len(solve_calls) == 1251
+        solve_calls.clear()
+        for t in benchmark_pool():
+            walk_first(t, "pell_sequence", 15, 512)
+        assert len(solve_calls) == 2023
