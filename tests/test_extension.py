@@ -21,6 +21,7 @@ from dioph.extension import (
     ModularCertificate,
     SearchReport,
     _is_square_mod_power_of_2,
+    _pell_members,
     _search,
     _square_discriminant_solutions,
     brute_force_search,
@@ -124,6 +125,43 @@ def reference_pell_walk(t, max_index):
         found[m] = ExtensionCandidate(m, roots)
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
+
+
+def walked_report(t, max_index):
+    """The members of pell_extension_search's walk as a report that lists
+    one record per distinct m outside t, ascending, with c's root when
+    c*m + k is a square: the complete records and the partial ones that
+    meet only the two reduced conditions.  A repeated m has the same roots."""
+    a, b, c = t.elements
+    found = {}
+    hits = set()
+    for m, x, Y in _pell_members(t, max_index):
+        if m in t.elements:
+            hits.add(m)
+            continue
+        roots = {a: abs(x), b: abs(Y)}
+        root_c = is_perfect_square(c * m + t.k)
+        if root_c is not None:
+            roots[c] = root_c
+        assert found.setdefault(m, ExtensionCandidate(m, roots)).roots == roots, (t, m)
+    candidates = tuple(found[m] for m in sorted(found))
+    return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
+
+
+def complete_only(report):
+    """report with its partial candidates dropped."""
+    return replace(report, candidates=tuple(c for c in report.candidates if c.complete))
+
+
+def checked_walk(t, max_index):
+    """pell_extension_search reports exactly the walk's complete members;
+    returns the walk's report, partial members included."""
+    walked = walked_report(t, max_index)
+    report = pell_extension_search(t, max_index)
+    assert report == complete_only(walked), t
+    assert all(c.complete for c in report.candidates), t
+    assert_roots_name_the_conditions_that_hold(report)
+    return walked
 
 
 def assert_roots_name_the_conditions_that_hold(report):
@@ -301,7 +339,8 @@ class TestPellExtensionSearch:
             pell_extension_search(T_7_14_41, -1)
 
     def test_near_extension_ladder_of_7_14_41(self):
-        report = pell_extension_search(T_7_14_41, 30)
+        assert pell_extension_search(T_7_14_41, 30).candidates == ()
+        report = checked_walk(T_7_14_41, 30)
         assert report.strategy == "pell_sequence"
         assert report.bound == 30
         assert report.self_hits == (41,)
@@ -314,7 +353,8 @@ class TestPellExtensionSearch:
         assert_roots_name_the_conditions_that_hold(report)
 
     def test_positive_control_1_3_8(self):
-        report = pell_extension_search(T_1_3_8, 10)
+        assert [c.m for c in pell_extension_search(T_1_3_8, 10).candidates] == [120]
+        report = checked_walk(T_1_3_8, 10)
         assert report.self_hits == (8,)
         assert report.verdict == VERDICT_EXTENDED
         complete = [c for c in report.candidates if c.complete]
@@ -328,7 +368,8 @@ class TestPellExtensionSearch:
         assert incomplete[:3] == [1680, 23408, 326040]
 
     def test_negative_k_fixture_3_4_13(self):
-        report = pell_extension_search(T_3_4_13, 30)
+        assert pell_extension_search(T_3_4_13, 30).candidates == ()
+        report = checked_walk(T_3_4_13, 30)
         assert report.self_hits == (13,)
         ms = [c.m for c in report.candidates]
         assert ms[:3] == [1, 2353, 456301]
@@ -339,7 +380,8 @@ class TestPellExtensionSearch:
         assert not any(c.complete for c in report.candidates)
 
     def test_smallest_pair_ladder_1_2_7(self):
-        report = pell_extension_search(T_1_2_7, 30)
+        assert pell_extension_search(T_1_2_7, 30).candidates == ()
+        report = checked_walk(T_1_2_7, 30)
         assert report.self_hits == (7,)
         assert [c.m for c in report.candidates][:3] == [287, 9799, 332927]
         assert not any(c.complete for c in report.candidates)
@@ -358,7 +400,7 @@ class TestPellExtensionSearch:
     )
     def test_candidates_from_classes_past_the_old_cap(self, elements, k, m):
         # these come from Pell classes a y-scan capped at 10^5 never found
-        report = pell_extension_search(DiophTuple(elements, k), 30)
+        report = checked_walk(DiophTuple(elements, k), 30)
         candidate = {c.m: c for c in report.candidates}[m]
         assert not candidate.complete
         assert_roots_name_the_conditions_that_hold(report)
@@ -367,7 +409,7 @@ class TestPellExtensionSearch:
         # a*b = 999983^2 and |k*b*(b-a)| is about 2*10^30: the divisor pairs
         # come from a factorisation, not from a scan up to sqrt(|N|)
         t = DiophTuple((1, 999966000289, 999968000258), 1999967)
-        report = pell_extension_search(t, 30)
+        report = checked_walk(t, 30)
         assert report.self_hits == (999968000258,)
         assert [c.m for c in report.candidates] == [999964000322]
         assert_roots_name_the_conditions_that_hold(report)
@@ -376,16 +418,17 @@ class TestPellExtensionSearch:
                 assert verify(DiophTuple(t.elements + (c.m,), t.k)).ok
 
     def test_deeper_search_only_adds_candidates(self):
-        shallow = {c.m for c in pell_extension_search(T_7_14_41, 10).candidates}
-        deep = {c.m for c in pell_extension_search(T_7_14_41, 30).candidates}
+        shallow = {c.m for c in checked_walk(T_7_14_41, 10).candidates}
+        deep = {c.m for c in checked_walk(T_7_14_41, 30).candidates}
         assert shallow <= deep
         assert len(deep) > len(shallow)
 
     def test_candidates_sorted_and_distinct(self):
         for t in [T_7_14_41, T_1_3_8, T_3_4_13, T_1_2_7]:
-            ms = [c.m for c in pell_extension_search(t, 20).candidates]
-            assert ms == sorted(set(ms))
-            assert all(m >= 1 for m in ms)
+            for report in (pell_extension_search(t, 20), walked_report(t, 20)):
+                ms = [c.m for c in report.candidates]
+                assert ms == sorted(set(ms))
+                assert all(m >= 1 for m in ms)
 
     @pytest.mark.parametrize("index", [0, 1, 15, 30])
     def test_matches_walk_over_every_class(self, index):
@@ -408,8 +451,10 @@ class TestPellExtensionSearch:
                         kinds.add("y = 0")
                     if abs(unit_step(red.D, cls.unit, x, y, -1)[1]) == y > 0:
                         kinds.add("tie")
+            reference = reference_pell_walk(t, index)
+            assert walked_report(t, index) == reference, t
             report = pell_extension_search(t, index)
-            assert report == reference_pell_walk(t, index), t
+            assert report == complete_only(reference), t
             assert_roots_name_the_conditions_that_hold(report)
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
@@ -469,6 +514,19 @@ class TestBruteForceSearch:
                 if c.complete and c.m <= 10**5
             }
             assert brute == pell
+
+    def test_reports_what_the_pell_search_reports_on_default_census(self):
+        # both strategies list the complete candidates only, so below the
+        # oracle's bound their lists agree record for record
+        triples = default_census_triples()
+        assert len(triples) == 618
+        extended = 0
+        for t in triples:
+            pell = pell_extension_search(t, 30).candidates
+            brute = brute_force_search(t, 10**6).candidates
+            assert repr(tuple(c for c in pell if c.m <= 10**6)) == repr(brute), t
+            extended += bool(brute)
+        assert extended == 249
 
     def test_matches_per_m_reference(self):
         cases = [
