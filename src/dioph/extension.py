@@ -1,6 +1,6 @@
 """Extension of a D(k) triple by a fourth element.
 
-Two search strategies produce candidate fourth elements m:
+Two search strategies list the fourth elements m that extend a triple:
 
 * ``pell_extension_search`` reduces the two smallest elements to a
   generalized Pell equation and walks its solution classes, recovering m
@@ -47,18 +47,12 @@ VERDICT_BOUNDED = "no_extension_below_bound"
 VERDICT_CERTIFIED = "certified_non_extendable"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionCandidate:
-    """A positive m outside the triple, with the square roots it gives.
+    """A positive m outside the triple that extends it.
 
-    roots maps each element e whose condition holds to the square root of
-    e*m + k, in element order; complete means all three conditions hold,
-    i.e. m genuinely extends the triple.  Both search strategies report
-    complete candidates only.
-
-    Not frozen: a frozen __init__ sets each field through object.__setattr__,
-    over twice the cost of a plain one, and the oracle builds a record per m.
-    It never made a record hashable or immutable, as roots is a dict.
+    roots maps each of the three elements e, in element order, to the
+    square root of e*m + k.  Unhashable, as roots is a dict.
     """
 
     m: int
@@ -66,7 +60,7 @@ class ExtensionCandidate:
 
     @property
     def complete(self) -> bool:
-        return len(self.roots) == 3
+        return True  # every candidate extends its triple; perfbench still reads this
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class SearchReport:
 
     @cached_property
     def verdict(self) -> str:
-        if any(c.complete for c in self.candidates):
+        if self.candidates:
             return VERDICT_EXTENDED
         if self.certificate is not None:
             return VERDICT_CERTIFIED
@@ -108,7 +102,7 @@ def _require_verified_triple(t: DiophTuple) -> None:
         bad = report.failing_pairs()[0]
         raise ValueError(
             f"{t} is not a D({t.k}) triple: "
-            f"{bad.a}*{bad.b}+{t.k} = {bad.shifted} is not a square"
+            f"{bad.a}*{bad.b}{t.k:+d} = {bad.shifted} is not a square"
         )
 
 
@@ -144,11 +138,10 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     (as PellClass.walk does).  Each member yields m = (x^2 - k)/a with
     x = X/b when both divisions are exact, and a*m + k = x^2, b*m + k = Y^2
     hold.  m <= 0 is discarded and m equal to an existing element is
-    reported as a self-hit.  Every other m has its third condition tested,
-    and only an m with c*m + k a square becomes a candidate: the report
-    lists the complete candidates, distinct and ascending in m, as
-    brute_force_search does.  The members that fail the third condition
-    are not recorded; they are most of the walk and prove nothing.
+    reported as a self-hit.  Every other m with c*m + k a square extends
+    t and is a candidate; the report lists them distinct and ascending in
+    m, as brute_force_search does.  The members that fail this third
+    condition, most of the walk, are not recorded.
 
     Whether b | X and a | x^2 - k is the same for every member of a class,
     so a class whose least member fails is dead and is skipped unwalked.
@@ -239,8 +232,8 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     when e > max_m, ties going to the smaller element.  Ignoring rho(e) can
     cost one triple up to a factor rho(e): {1, 3, 8} with k = 1 at
     max_m = 10^6 walks 8 (about 1422 values), not 1 (1001).  The other two
-    elements are checked with exact integer square tests.  Returns the
-    complete candidates only, ascending in m; an element of t that meets
+    elements are checked with exact integer square tests.  Returns the m
+    that extend t as candidates, ascending; an element of t that meets
     the a- and b-conditions (a < b the two smallest) is in self_hits.
     """
     return _search(t, "brute_force", max_m)

@@ -124,9 +124,8 @@ def test_criterion_4_positive_control(capsys):
     with criterion(capsys, 4, "positive control {1,3,8} with k=1"):
         t = DiophTuple((1, 3, 8), 1)
         report = pell_extension_search(t, 10)
-        complete = [c for c in report.candidates if c.complete]
-        assert [c.m for c in complete] == [120]
-        assert list(complete[0].roots.items()) == [
+        assert [c.m for c in report.candidates] == [120]
+        assert list(report.candidates[0].roots.items()) == [
             (1, 11),
             (3, 19),
             (8, 31),
@@ -144,7 +143,7 @@ def test_criterion_5_fixtures_resist_both_strategies(capsys):
             brute = brute_force_search(t, 10**6)
             assert brute.candidates == (), elements
             pell = pell_extension_search(t, 30)
-            assert not any(c.complete for c in pell.candidates), elements
+            assert pell.candidates == (), elements
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"search took {elapsed:.2f}s"
 
@@ -212,7 +211,7 @@ def test_criterion_8_randomized_strategy_agreement(capsys):
             assert verify(t).ok
             pell = pell_extension_search(t, 20)
             brute = brute_force_search(t, 10**5)
-            pell_ms = {c.m for c in pell.candidates if c.complete and c.m <= 10**5}
+            pell_ms = {c.m for c in pell.candidates if c.m <= 10**5}
             brute_ms = {c.m for c in brute.candidates}
             assert pell_ms == brute_ms, (tri, k, pell_ms ^ brute_ms)
 

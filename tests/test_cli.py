@@ -243,7 +243,7 @@ class TestExtendCommand:
         self, capsys, elements, k, code, self_hits, candidates
     ):
         # the walk meets members that fail the third condition (m = 1680 for
-        # {1, 3, 8}), but a report lists only the complete candidates
+        # {1, 3, 8}), but a report lists only the m that extend
         got, out, err = run(capsys, "extend", "--set", elements, f"--k={k}", "--output", "json")
         assert got == code
         assert err == ""

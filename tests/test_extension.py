@@ -3,7 +3,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt
@@ -89,10 +89,24 @@ def unit_step(D, unit, u, v, direction):
     return u * x1 + v * y1 * D, u * y1 + v * x1
 
 
-def reference_pell_walk(t, max_index):
-    """Walk every Pell class, mirrors included, max_index unit steps both
-    ways from its stored representative."""
-    a, b, c = t.elements
+def member_ladder(t, max_index):
+    """The members of pell_extension_search's walk as (rungs, self_hits):
+    rungs maps each distinct m outside t, ascending, to its roots of
+    a*m + k and b*m + k; a repeated m has the same roots."""
+    rungs = {}
+    hits = set()
+    for m, x, Y in _pell_members(t, max_index):
+        if m in t.elements:
+            hits.add(m)
+        else:
+            assert rungs.setdefault(m, (abs(x), abs(Y))) == (abs(x), abs(Y)), (t, m)
+    return dict(sorted(rungs.items())), tuple(sorted(hits))
+
+
+def reference_ladder(t, max_index):
+    """member_ladder's form, from a walk of every Pell class, mirrors
+    included, max_index unit steps both ways from its stored representative."""
+    a, b, _ = t.elements
     red = reduce_pair(a, b, t.k)
     if is_perfect_square(red.D) is not None:
         solutions = _square_discriminant_solutions(red.D, red.N)
@@ -107,7 +121,7 @@ def reference_pell_walk(t, max_index):
                     u, v = unit_step(red.D, cls.unit, u, v, direction)
                     solutions.append((u, v))
         solutions = [(abs(u), abs(v)) for u, v in solutions]
-    found = {}
+    rungs = {}
     hits = set()
     for X, Y in solutions:
         m = red.recover_m(X, Y)
@@ -115,62 +129,35 @@ def reference_pell_walk(t, max_index):
             continue
         if m in t.elements:
             hits.add(m)
-            continue
-        if m in found:
-            continue
-        roots = {a: X // b, b: Y}
-        root_c = is_perfect_square(c * m + t.k)
-        if root_c is not None:
-            roots[c] = root_c
-        found[m] = ExtensionCandidate(m, roots)
-    candidates = tuple(found[m] for m in sorted(found))
-    return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
+        else:
+            rungs.setdefault(m, (X // b, Y))
+    return dict(sorted(rungs.items())), tuple(sorted(hits))
 
 
-def walked_report(t, max_index):
-    """The members of pell_extension_search's walk as a report that lists
-    one record per distinct m outside t, ascending, with c's root when
-    c*m + k is a square: the complete records and the partial ones that
-    meet only the two reduced conditions.  A repeated m has the same roots."""
+def checked_ladder(t, max_index):
+    """t's member ladder, once pell_extension_search is checked to list
+    exactly its rungs with c*m + k a square, with the walk's roots, and
+    its self-hits."""
+    rungs, hits = ladder = member_ladder(t, max_index)
     a, b, c = t.elements
-    found = {}
-    hits = set()
-    for m, x, Y in _pell_members(t, max_index):
-        if m in t.elements:
-            hits.add(m)
-            continue
-        roots = {a: abs(x), b: abs(Y)}
-        root_c = is_perfect_square(c * m + t.k)
-        if root_c is not None:
-            roots[c] = root_c
-        assert found.setdefault(m, ExtensionCandidate(m, roots)).roots == roots, (t, m)
-    candidates = tuple(found[m] for m in sorted(found))
-    return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(hits)))
-
-
-def complete_only(report):
-    """report with its partial candidates dropped."""
-    return replace(report, candidates=tuple(c for c in report.candidates if c.complete))
-
-
-def checked_walk(t, max_index):
-    """pell_extension_search reports exactly the walk's complete members;
-    returns the walk's report, partial members included."""
-    walked = walked_report(t, max_index)
+    extensions = tuple(
+        ExtensionCandidate(m, {a: ra, b: rb, c: rc})
+        for m, (ra, rb) in rungs.items()
+        if (rc := is_perfect_square(c * m + t.k)) is not None
+    )
     report = pell_extension_search(t, max_index)
-    assert report == complete_only(walked), t
-    assert all(c.complete for c in report.candidates), t
-    assert_roots_name_the_conditions_that_hold(report)
-    return walked
+    assert report == SearchReport(t, "pell_sequence", max_index, extensions, hits), t
+    assert_roots_hold(report)
+    return ladder
 
 
-def assert_roots_name_the_conditions_that_hold(report):
-    """Each candidate's roots hold for a and b, and for c exactly when complete."""
-    a, b, c = report.triple.elements
+def assert_roots_hold(report):
+    """Each candidate's roots are those of e*m + k for the three elements, in order."""
+    t = report.triple
     for cand in report.candidates:
-        assert list(cand.roots) == ([a, b, c] if cand.complete else [a, b]), cand
+        assert list(cand.roots) == list(t.elements), cand
         for e, r in cand.roots.items():
-            assert r * r == e * cand.m + report.triple.k, (e, cand)
+            assert r * r == e * cand.m + t.k, (e, cand)
 
 
 def small_dk_triples(seed, count):
@@ -335,56 +322,43 @@ class TestPellExtensionSearch:
             pell_extension_search(DiophTuple((1, 3), 1), 10)
         with pytest.raises(ValueError, match=r"7\*40\+2 = 282"):
             pell_extension_search(DiophTuple((7, 14, 40), 2), 10)
+        with pytest.raises(ValueError, match=r"4\*12-8 = 40 is not"):
+            pell_extension_search(DiophTuple((4, 12, 33), -8), 10)
         with pytest.raises(ValueError):
             pell_extension_search(T_7_14_41, -1)
 
     def test_near_extension_ladder_of_7_14_41(self):
-        assert pell_extension_search(T_7_14_41, 30).candidates == ()
-        report = checked_walk(T_7_14_41, 30)
+        rungs, hits = checked_ladder(T_7_14_41, 30)
+        report = pell_extension_search(T_7_14_41, 30)
         assert report.strategy == "pell_sequence"
         assert report.bound == 30
-        assert report.self_hits == (41,)
+        assert report.self_hits == hits == (41,)
         assert report.verdict == VERDICT_BOUNDED
-        ms = [c.m for c in report.candidates]
-        assert ms[:4] == [1, 47561, 1615681, 1864494721]
-        assert all(not c.complete for c in report.candidates)
-        first = report.candidates[0]
-        assert list(first.roots.items()) == [(7, 3), (14, 4)]
-        assert_roots_name_the_conditions_that_hold(report)
+        assert report.candidates == ()
+        assert list(rungs)[:4] == [1, 47561, 1615681, 1864494721]
+        assert rungs[1] == (3, 4)
 
     def test_positive_control_1_3_8(self):
-        assert [c.m for c in pell_extension_search(T_1_3_8, 10).candidates] == [120]
-        report = checked_walk(T_1_3_8, 10)
-        assert report.self_hits == (8,)
+        rungs, hits = checked_ladder(T_1_3_8, 10)
+        report = pell_extension_search(T_1_3_8, 10)
+        assert hits == (8,)
         assert report.verdict == VERDICT_EXTENDED
-        complete = [c for c in report.candidates if c.complete]
-        assert [c.m for c in complete] == [120]
-        assert list(complete[0].roots.items()) == [
-            (1, 11),
-            (3, 19),
-            (8, 31),
-        ]
-        incomplete = [c.m for c in report.candidates if not c.complete]
-        assert incomplete[:3] == [1680, 23408, 326040]
+        assert report.candidates == (ExtensionCandidate(120, {1: 11, 3: 19, 8: 31}),)
+        assert list(rungs)[:4] == [120, 1680, 23408, 326040]
+        assert rungs[120] == (11, 19)
 
     def test_negative_k_fixture_3_4_13(self):
+        rungs, hits = checked_ladder(T_3_4_13, 30)
         assert pell_extension_search(T_3_4_13, 30).candidates == ()
-        report = checked_walk(T_3_4_13, 30)
-        assert report.self_hits == (13,)
-        ms = [c.m for c in report.candidates]
-        assert ms[:3] == [1, 2353, 456301]
-        assert list(report.candidates[0].roots.items()) == [
-            (3, 0),
-            (4, 1),
-        ]
-        assert not any(c.complete for c in report.candidates)
+        assert hits == (13,)
+        assert list(rungs)[:3] == [1, 2353, 456301]
+        assert rungs[1] == (0, 1)
 
     def test_smallest_pair_ladder_1_2_7(self):
+        rungs, hits = checked_ladder(T_1_2_7, 30)
         assert pell_extension_search(T_1_2_7, 30).candidates == ()
-        report = checked_walk(T_1_2_7, 30)
-        assert report.self_hits == (7,)
-        assert [c.m for c in report.candidates][:3] == [287, 9799, 332927]
-        assert not any(c.complete for c in report.candidates)
+        assert hits == (7,)
+        assert list(rungs)[:3] == [287, 9799, 332927]
 
     def test_square_discriminant_pair_handled(self):
         # the two smallest elements of {1, 4, 11} multiply to a square, so
@@ -400,33 +374,29 @@ class TestPellExtensionSearch:
     )
     def test_candidates_from_classes_past_the_old_cap(self, elements, k, m):
         # these come from Pell classes a y-scan capped at 10^5 never found
-        report = checked_walk(DiophTuple(elements, k), 30)
-        candidate = {c.m: c for c in report.candidates}[m]
-        assert not candidate.complete
-        assert_roots_name_the_conditions_that_hold(report)
+        rungs, _ = checked_ladder(DiophTuple(elements, k), 30)
+        assert m in rungs
+        assert is_perfect_square(elements[2] * m + k) is None
 
     def test_huge_square_discriminant_triple(self):
         # a*b = 999983^2 and |k*b*(b-a)| is about 2*10^30: the divisor pairs
         # come from a factorisation, not from a scan up to sqrt(|N|)
         t = DiophTuple((1, 999966000289, 999968000258), 1999967)
-        report = checked_walk(t, 30)
-        assert report.self_hits == (999968000258,)
-        assert [c.m for c in report.candidates] == [999964000322]
-        assert_roots_name_the_conditions_that_hold(report)
-        for c in report.candidates:
-            if c.complete:
-                assert verify(DiophTuple(t.elements + (c.m,), t.k)).ok
+        rungs, hits = checked_ladder(t, 30)
+        assert hits == (999968000258,)
+        assert list(rungs) == [999964000322]
+        assert pell_extension_search(t, 30).candidates == ()
 
     def test_deeper_search_only_adds_candidates(self):
-        shallow = {c.m for c in checked_walk(T_7_14_41, 10).candidates}
-        deep = {c.m for c in checked_walk(T_7_14_41, 30).candidates}
+        shallow = set(checked_ladder(T_7_14_41, 10)[0])
+        deep = set(checked_ladder(T_7_14_41, 30)[0])
         assert shallow <= deep
         assert len(deep) > len(shallow)
 
     def test_candidates_sorted_and_distinct(self):
         for t in [T_7_14_41, T_1_3_8, T_3_4_13, T_1_2_7]:
-            for report in (pell_extension_search(t, 20), walked_report(t, 20)):
-                ms = [c.m for c in report.candidates]
+            candidates = pell_extension_search(t, 20).candidates
+            for ms in ([c.m for c in candidates], list(member_ladder(t, 20)[0])):
                 assert ms == sorted(set(ms))
                 assert all(m >= 1 for m in ms)
 
@@ -451,22 +421,20 @@ class TestPellExtensionSearch:
                         kinds.add("y = 0")
                     if abs(unit_step(red.D, cls.unit, x, y, -1)[1]) == y > 0:
                         kinds.add("tie")
-            reference = reference_pell_walk(t, index)
-            assert walked_report(t, index) == reference, t
-            report = pell_extension_search(t, index)
-            assert report == complete_only(reference), t
-            assert_roots_name_the_conditions_that_hold(report)
+            assert checked_ladder(t, index) == reference_ladder(t, index), t
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
 
     def test_candidate_record_contract(self):
-        # equality and repr by fields; unhashable, since roots is a dict
+        # equality and repr by fields; frozen, yet unhashable, since roots is a dict
         found = pell_extension_search(T_1_3_8, 15).candidates
         expected = ExtensionCandidate(120, {1: 11, 3: 19, 8: 31})
-        assert [c for c in found if c.complete] == [expected]
+        assert found == (expected,)
         assert repr(expected) == "ExtensionCandidate(m=120, roots={1: 11, 3: 19, 8: 31})"
         with pytest.raises(TypeError):
             hash(expected)
+        with pytest.raises(FrozenInstanceError):
+            expected.m = 121
 
     def test_a_class_yields_m_at_every_member_or_at_none(self):
         # pell_extension_search skips a class whose rep yields no m; the
@@ -496,7 +464,7 @@ class TestBruteForceSearch:
         report = brute_force_search(T_1_3_8, 200)
         assert report.strategy == "brute_force"
         assert report.bound == 200
-        assert [(c.m, c.complete) for c in report.candidates] == [(120, True)]
+        assert report.candidates == (ExtensionCandidate(120, {1: 11, 3: 19, 8: 31}),)
         assert report.verdict == VERDICT_EXTENDED
         assert report.self_hits == (8,)
 
@@ -508,15 +476,11 @@ class TestBruteForceSearch:
     def test_agrees_with_pell_search_on_fixtures(self):
         for t in [T_7_14_41, T_3_4_13, T_1_2_7, T_1_3_8]:
             brute = {c.m for c in brute_force_search(t, 10**5).candidates}
-            pell = {
-                c.m
-                for c in pell_extension_search(t, 30).candidates
-                if c.complete and c.m <= 10**5
-            }
+            pell = {c.m for c in pell_extension_search(t, 30).candidates if c.m <= 10**5}
             assert brute == pell
 
     def test_reports_what_the_pell_search_reports_on_default_census(self):
-        # both strategies list the complete candidates only, so below the
+        # both strategies list only the m that extend, so below the
         # oracle's bound their lists agree record for record
         triples = default_census_triples()
         assert len(triples) == 618
@@ -563,7 +527,7 @@ class TestBruteForceSearch:
             report = brute_force_search(t, max_m)
             assert report == reference_brute_force(t, max_m), (t, max_m)
             assert repr(report) == repr(reference_smallest_element_walk(t, max_m)), (t, max_m)
-            assert_roots_name_the_conditions_that_hold(report)
+            assert_roots_hold(report)
 
     def test_matches_smallest_element_walk_on_default_census(self, walked):
         triples = default_census_triples()
@@ -837,7 +801,7 @@ class TestSearchAndCertify:
         report = search_and_certify(T_1_3_8, max_modulus=300)
         assert report.verdict == VERDICT_EXTENDED
         assert report.certificate is None
-        assert any(c.complete and c.m == 120 for c in report.candidates)
+        assert 120 in {c.m for c in report.candidates}
 
     def test_negative_k_fixture(self):
         report = search_and_certify(T_3_4_13)
@@ -962,6 +926,9 @@ class TestCertificateFirst:
             expected = walk_first(t, strategy, bound, 512)
             assert report.verdict == expected.verdict, t
             assert report.certificate == expected.certificate, t
+            assert (report.verdict == VERDICT_EXTENDED) == bool(report.candidates), t
+            for c in report.candidates:
+                assert verify(DiophTuple(t.elements + (c.m,), t.k)).ok, (t, c)
             if report.verdict == VERDICT_CERTIFIED:
                 assert report == replace(expected, candidates=(), self_hits=()), t
             else:
