@@ -1,9 +1,10 @@
 """Pell equations x^2 - D*y^2 = N.
 
-Continued-fraction expansion of sqrt(D), the fundamental solution of the unit
-equation (N = 1), the complete set of solution classes of the generalized
-equation for arbitrary N != 0, and the walk through a class by increasing y;
-the solutions of the unit equation are the one class, that of (1, 0).
+The fundamental solution of the unit equation (N = 1), the complete set of
+solution classes of the generalized equation for arbitrary N != 0, and the
+walk through a class by increasing y; the solutions of the unit equation are
+the one class, that of (1, 0).  The unit and the classes both come from one
+pass over the period of the continued fraction of sqrt(D), which stays internal.
 """
 
 from __future__ import annotations
@@ -16,22 +17,12 @@ from typing import Iterator
 from .arith import factorize, is_perfect_square
 
 __all__ = [
-    "CFExpansion",
     "PellSolution",
     "PellProblem",
     "PellClass",
-    "sqrt_cf",
     "fundamental_solution",
     "solve_general",
 ]
-
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """Continued fraction of sqrt(D): [a0; period repeated forever]."""
-
-    a0: int
-    period: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,53 +49,42 @@ def _require_nonsquare(D: int) -> None:
         raise ValueError(f"D must be a non-square integer >= 2, got {D}")
 
 
-def sqrt_cf(D: int) -> CFExpansion:
-    """Periodic continued fraction of sqrt(D).
+def _expand(D: int) -> tuple[int, set[tuple[int, int]], PellSolution, PellSolution | None]:
+    """One period of the continued fraction sqrt(D) = [a0; a1, ..., aL],
+    which ends at the first partial quotient aL = 2*a0.
 
-    Uses the classical recurrence on (P, Q, a); the period ends at the first
-    partial quotient equal to 2*a0.
+    Returns a0; the states (P, Q) of the period, the complete quotients
+    (P + sqrt(D))/Q of the principal cycle; and the fundamental solutions of
+    x^2 - D*y^2 = 1 and of x^2 - D*y^2 = -1, the latter None when -1 is not
+    a norm.  One pass of the classical recurrence on (P, Q, a) finds them
+    all: the convergents p/q advance with each partial quotient before the
+    closing 2*a0, and the last of them, [a0; a1, ..., a(L-1)], has
+    p^2 - D*q^2 = (-1)^L.  For even L that is the unit and -1 is not a norm;
+    for odd L it is the norm -1 solution and its square is the unit.
     """
-    return _expand(D)[0]
-
-
-def _expand(D: int) -> tuple[CFExpansion, set[tuple[int, int]]]:
-    """sqrt_cf(D) and the states (P, Q) of its period, the complete
-    quotients (P + sqrt(D))/Q of the principal cycle."""
     _require_nonsquare(D)
     a0 = isqrt(D)
     P, Q, a = 0, 1, a0
-    period = []
+    p, p0, q, q0 = a0, 1, 1, 0  # the convergent a0/1 and the one before it
     states = set()
     while True:
         P = Q * a - P
         Q = (D - P * P) // Q
         a = (a0 + P) // Q
-        period.append(a)
         states.add((P, Q))
         if a == 2 * a0:
-            return CFExpansion(a0, tuple(period)), states
+            break
+        p, p0 = a * p + p0, p
+        q, q0 = a * q + q0, q
+    if p * p - D * q * q == 1:
+        return a0, states, PellSolution(p, q), None
+    return a0, states, PellSolution(p * p + D * q * q, 2 * p * q), PellSolution(p, q)
 
 
 def fundamental_solution(D: int) -> PellSolution:
-    """Minimal solution of x^2 - D*y^2 = 1 with y >= 1, from the convergents."""
-    return _units(sqrt_cf(D), D)[0]
-
-
-def _units(cf: CFExpansion, D: int) -> tuple[PellSolution, PellSolution | None]:
-    """The fundamental solutions of x^2 - D*y^2 = 1 and of x^2 - D*y^2 = -1.
-
-    One period of the expansion suffices: the convergent p/q just before its
-    end has p^2 - D*q^2 = (-1)^L for the period length L.  For even L that
-    is the unit and -1 is not a norm; for odd L it is the norm -1 solution
-    and its square is the unit.
-    """
-    p2, p1, q2, q1 = 0, 1, 1, 0
-    for a in (cf.a0,) + cf.period[:-1]:
-        p2, p1 = p1, a * p1 + p2
-        q2, q1 = q1, a * q1 + q2
-    if len(cf.period) % 2 == 0:
-        return PellSolution(p1, q1), None
-    return PellSolution(p1 * p1 + D * q1 * q1, 2 * p1 * q1), PellSolution(p1, q1)
+    """Minimal solution of x^2 - D*y^2 = 1 with y >= 1, from the convergents
+    of sqrt(D)."""
+    return _expand(D)[2]
 
 
 @dataclass(frozen=True)
@@ -208,8 +188,7 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
         while e >= 2 and D % q == 0:
             D, N, s, e = D // q, N // q, s * p, e - 2
         factors.append((p, e))
-    cf, principal = _expand(D)
-    reduced_unit, negative_unit = _units(cf, D)
+    a0, principal, reduced_unit, negative_unit = _expand(D)
     x1, y1 = reduced_unit.x, reduced_unit.y
     # per prime power p**e of |N|: each p**h with p**(2h) | N, the part
     # p**(e-2h) it leaves of m = N/f^2, and the roots of D modulo that part
@@ -230,7 +209,7 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
         for z in zs:
             if 2 * z > size:
                 continue  # -z < |m|/2 is a root too; its class is the conjugate
-            xy = _lmm_solution(D, cf.a0, principal, negative_unit, z, m)
+            xy = _lmm_solution(D, a0, principal, negative_unit, z, m)
             if xy is None:
                 continue
             reps.append((f * xy[0], f * xy[1]))

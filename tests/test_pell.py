@@ -2,7 +2,6 @@ import json
 import random
 import time
 from itertools import islice, takewhile
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,6 @@ from dioph.pell import (
     PellSolution,
     fundamental_solution,
     solve_general,
-    sqrt_cf,
 )
 from dioph.cli import main
 from dioph.tuples import reduce_pair
@@ -42,42 +40,12 @@ def brute_solutions(D, N, max_y):
 
 
 class TestSqrtCF:
-    @pytest.mark.parametrize(
-        "D,a0,period",
-        [
-            (2, 1, (2,)),
-            (8, 2, (1, 4)),
-            (48, 6, (1, 12)),
-            (13, 3, (1, 1, 1, 1, 6)),
-            (7, 2, (1, 1, 1, 4)),
-        ],
-    )
-    def test_examples(self, D, a0, period):
-        cf = sqrt_cf(D)
-        assert (cf.a0, cf.period) == (a0, period)
+    """The continued fraction of sqrt(D), read through fundamental_solution."""
 
     @pytest.mark.parametrize("bad", [0, 1, 4, 9, 49, 100, -3])
     def test_square_or_small_rejected(self, bad):
         with pytest.raises(ValueError):
-            sqrt_cf(bad)
-
-    def test_period_ends_at_twice_a0(self):
-        for D in NONSQUARE_D:
-            cf = sqrt_cf(D)
-            assert cf.period[-1] == 2 * cf.a0
-            assert all(t >= 1 for t in cf.period)
-
-    def test_convergents_track_sqrt(self):
-        # |p^2 - D*q^2| stays below 2*sqrt(D)+2 along the convergents
-        for D in NONSQUARE_D[:40]:
-            cf = sqrt_cf(D)
-            p2, p1, q2, q1 = 0, 1, 1, 0
-            for i in range(2 * len(cf.period) + 2):
-                a = cf.period[(i - 1) % len(cf.period)] if i else cf.a0
-                p, q = a * p1 + p2, a * q1 + q2
-                if q > 0:
-                    assert abs(p * p - D * q * q) <= 2 * isqrt(D) + 2
-                p2, p1, q2, q1 = p1, p, q1, q
+            fundamental_solution(bad)
 
 
 class TestFundamentalSolution:
@@ -100,6 +68,16 @@ class TestFundamentalSolution:
                 assert (fund.x, fund.y) == brute[0]
             else:
                 assert fund.y > 10**4
+            # the norm -1 class, when there is one, squares to the unit
+            negative = solve_general(PellProblem(D, -1))
+            assert len(negative) <= 1
+            for cls in negative:
+                x, y = cls.rep.x, cls.rep.y
+                assert PellSolution(x * x + D * y * y, 2 * x * y) == fund
+            if fund.y <= 10**4:
+                assert bool(negative) == bool(brute_solutions(D, -1, fund.y - 1))
+            if D == 61:
+                assert negative[0].rep == PellSolution(29718, 3805)
 
 
 class TestUnitSequence:
