@@ -39,6 +39,9 @@ _EXIT_BY_VERDICT = {VERDICT_EXTENDED: 0, VERDICT_CERTIFIED: 3, VERDICT_BOUNDED: 
 
 
 def main(argv: list[str] | None = None) -> int:
+    # integers of any size print and parse in full (3.10.7+ caps int <-> str at 4300 digits)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -266,43 +269,42 @@ def _cmd_pell(args: argparse.Namespace) -> int:
     _check_bounds(args, count=1)
     fund = fundamental_solution(args.d)
     coefficient = 2 * fund.x
-    payload = {
-        "d": args.d,
-        "n": args.n,
-        "fundamental": {"x": fund.x, "y": fund.y},
-        "coefficient": coefficient,
-    }
     classes = solve_general(PellProblem(args.d, args.n))
-    members = [[[s.x, s.y] for s in islice(cls.solutions(), args.count)] for cls in classes]
-    if args.n == 1:
-        # the one class, that of (1, 0), is listed bare
-        payload["solutions"] = members[0]
-    else:
-        payload["classes"] = [
-            {
-                "base": [abs(cls.rep.x), cls.rep.y],
-                "x_sign": -1 if cls.rep.x < 0 else 1,
-                "members": sols,
-            }
-            for cls, sols in zip(classes, members)
-        ]
+
+    def members(cls):
+        return islice(cls.solutions(), args.count)
+
     if args.output == "json":
+        # canonical JSON needs the whole document, so only JSON collects the members
+        payload = {"d": args.d, "n": args.n, "fundamental": {"x": fund.x, "y": fund.y},
+                   "coefficient": coefficient}
+        if args.n == 1:
+            # the one class, that of (1, 0), is listed bare
+            payload["solutions"] = [[s.x, s.y] for s in members(classes[0])]
+        else:
+            payload["classes"] = [
+                {
+                    "base": [abs(cls.rep.x), cls.rep.y],
+                    "x_sign": -1 if cls.rep.x < 0 else 1,
+                    "members": [[s.x, s.y] for s in members(cls)],
+                }
+                for cls in classes
+            ]
         print(_canonical_json(payload))
         return 0
     print(f"x^2 - {args.d}*y^2 = {args.n}")
     print(f"fundamental solution of the unit equation: ({fund.x}, {fund.y}); "
           f"recurrence coefficient {coefficient}")
     if args.n == 1:
-        for x, y in members[0]:
-            print(f"  ({x}, {y})")
+        for s in members(classes[0]):
+            print(f"  ({s.x}, {s.y})")
     elif not classes:
         print("  no solutions")
     else:
-        for cls in payload["classes"]:
-            sign = "-" if cls["x_sign"] < 0 else ""
-            print(f"  class with base ({sign}{cls['base'][0]}, {cls['base'][1]}):")
-            for x, y in cls["members"]:
-                print(f"    ({x}, {y})")
+        for cls in classes:
+            print(f"  class with base ({cls.rep.x}, {cls.rep.y}):")
+            for s in members(cls):
+                print(f"    ({s.x}, {s.y})")
     return 0
 
 

@@ -245,10 +245,11 @@ def _lmm_solution(
     """A solution of x^2 - D*y^2 = m in the class belonging to the root z,
     or None when that class is empty.  a0 is isqrt(D)."""
     P, Q = z, abs(m)
-    quotients = []
+    G1, G0, B1, B0 = abs(m), -z, 0, 1  # G_{i-1}, G_{i-2}, B_{i-1}, B_{i-2}
     while True:
         a = (P + a0) // Q if Q > 0 else (P + a0 + 1) // Q
-        quotients.append(a)
+        G1, G0 = a * G1 + G0, G1
+        B1, B0 = a * B1 + B0, B1
         P = a * Q - P
         Q = (D - P * P) // Q
         if Q == 1 or Q == -1:
@@ -257,10 +258,6 @@ def _lmm_solution(
         # Only the cycle of sqrt(D) itself holds a term with Q = 1, a0+sqrt(D).
         if 0 < P <= a0 and a0 - P < Q <= a0 + P and (P, Q) not in principal:
             return None
-    G1, G0, B1, B0 = abs(m), -z, 0, 1  # G_{i-1}, G_{i-2}, B_{i-1}, B_{i-2}
-    for a in quotients:
-        G1, G0 = a * G1 + G0, G1
-        B1, B0 = a * B1 + B0, B1
     # G^2 - D*B^2 = +-|m| = +-m; a norm -1 unit turns -m into m
     if G1 * G1 - D * B1 * B1 == m:
         return G1, B1

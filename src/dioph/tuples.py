@@ -11,6 +11,7 @@ rules out every D(k) quadruple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import isqrt
 from typing import Iterator
 
@@ -105,26 +106,22 @@ def verify(t: DiophTuple) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def enumerate_triples(limit: int, k: int) -> list[tuple[int, int, int]]:
+def enumerate_triples(limit: int, k: int) -> Iterator[tuple[int, int, int]]:
     """Every D(k) triple (a, b, c) with a < b < c <= limit, in ascending
-    lexicographic order.
+    lexicographic order, yielded one a at a time.
 
     The partners b > a of each a are the points of square_points(a, k,
-    limit); a triple is a partner b of a together with a common partner
-    c > b of a and b.
+    limit); a triple is two partners b < c of a with b*c + k a square.
+    Only the partners of the current a are held.  k is checked at the
+    call, before the first triple is asked for.
     """
     _require_shift(k)
-    partners = {
-        a: {b for b, _ in square_points(a, k, limit) if b > a}
-        for a in range(1, limit + 1)
-    }
-    return [
+    return (
         (a, b, c)
         for a in range(1, limit + 1)
-        for b in sorted(partners[a])
-        for c in sorted(partners[a] & partners[b])
-        if c > b
-    ]
+        for b, c in combinations(sorted(m for m, _ in square_points(a, k, limit) if m > a), 2)
+        if is_perfect_square(b * c + k) is not None
+    )
 
 
 def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:

@@ -55,6 +55,15 @@ class TestVerifyCommand:
             "root": 10,
         }
 
+    def test_integers_beyond_4300_digits_parse_and_print(self, capsys):
+        # str(10**4400) itself raises under the default digit limit
+        a, b = "1" + "0" * 4400, "1" + "0" * 4399 + "2"
+        code, out, err = run(capsys, "verify", "--set", f"{a},{b}", "--k", "1")
+        assert (code, err) == (0, "")
+        assert f" = {a[:-1]}1^2" in out
+        # 3 + 10^4400 is not a square: the property fails, the input is valid
+        assert run(capsys, "verify", "--set", "1,3", "--k", a)[0] == 1
+
     def test_json_roots_null_on_failure(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--set", "7,14,40", "--k", "2", "--output", "json"
@@ -299,6 +308,12 @@ class TestPellCommand:
         assert payload["n"] == -2
         assert payload["classes"][0]["members"][:2] == [[0, 1], [4, 3]]
 
+    def test_unit_beyond_4300_digits_prints_in_full(self, capsys):
+        code, out, err = run(capsys, "pell", "--d", "9999889", "--count", "1", "--output", "json")
+        assert (code, err) == (0, "")
+        x = str(json.loads(out)["fundamental"]["x"])
+        assert (len(x), x[-6:]) == (7668, "828449")
+
     def test_json_classes_carry_the_sign_of_x(self, capsys):
         # the mirror of (1, 1) is the class of (-1, 1); (4, 2) is its own
         code, out, _ = run(
@@ -393,21 +408,42 @@ def test_closed_stdout_exits_141_without_traceback():
     assert b"Traceback" not in err
 
 
+def _limit_address_space():
+    # set in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+
 def test_out_of_memory_exits_2_without_traceback():
-    # the list of 10^8 Pell members outgrows a 300 MB address space in
-    # under a second; the limit is set in the child only
+    # canonical JSON collects the whole document: its list of 10^8 Pell
+    # members outgrows a 300 MB address space in under a second
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "100000000",
+            "--output", "json"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: out of memory\n"
+
+
+def test_pell_text_streams_in_bounded_memory():
+    # text prints each of the 10^8 members as the walk yields it, so the
+    # first lines arrive under the same 300 MB limit, and the run ends on
+    # the closed pipe, not on memory
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "100000000"]
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
-
-    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
-                          preexec_fn=limit_address_space)
-    assert proc.returncode == 2
-    assert b"Traceback" not in proc.stderr
-    assert proc.stderr.startswith(b"error: ")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          preexec_fn=_limit_address_space) as proc:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert lines == [b"x^2 - 2*y^2 = 1\n",
+                     b"fundamental solution of the unit equation: (3, 2); "
+                     b"recurrence coefficient 6\n",
+                     b"  (1, 0)\n"]
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
 
 
 @pytest.mark.parametrize("entry", [["scripts/triple_census.py"], ["-m", "dioph", "census"]])

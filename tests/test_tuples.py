@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dioph.tuples
 from dioph.arith import is_perfect_square, legendre
 from dioph.tuples import (
     DiophTuple,
@@ -121,16 +122,28 @@ class TestEnumerateTriples:
                 for a, b, c in itertools.combinations(range(1, 41), 3)
                 if verify(DiophTuple((a, b, c), k)).ok
             ]
-            assert enumerate_triples(40, k) == expected, k
+            assert list(enumerate_triples(40, k)) == expected, k
 
     def test_limit_is_inclusive(self):
         assert (1, 3, 8) in enumerate_triples(8, 1)
         assert (1, 3, 8) not in enumerate_triples(7, 1)
-        assert enumerate_triples(2, 1) == []
+        assert list(enumerate_triples(2, 1)) == []
 
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError):
             enumerate_triples(10, 0)
+
+    def test_first_triple_reads_only_the_partners_of_its_a(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return square_points(*args)
+
+        square_points = dioph.tuples.square_points
+        monkeypatch.setattr(dioph.tuples, "square_points", spy)
+        assert next(iter(enumerate_triples(200, 1))) == (1, 3, 8)
+        assert calls == [(1, 1, 200)]
 
 
 class TestIsRegular:
