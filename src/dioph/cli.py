@@ -354,7 +354,8 @@ def _census_row(label: int | str, cells: dict) -> str:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    _check_bounds(args, limit=1, show=0)
+    # [k_min, k_max] must hold a nonzero k: k_min itself, or 1 when k_min is 0
+    _check_bounds(args, limit=1, show=0, k_max=args.k_min or 1)
     start = time.perf_counter()
     print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "
           f"search depth {_CENSUS_BOUND_INDEX}, modulus cap {_CENSUS_MAX_MODULUS}\n")

@@ -25,11 +25,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 from .arith import factorize, is_perfect_square
-from .pell import PellProblem, solve_general
-from .tuples import DiophTuple, reduce_pair, square_points, verify
+from .pell import _class_points
+from .tuples import DiophTuple, reduce_pair, square_points
 
 __all__ = [
     "ExtensionCandidate",
@@ -95,15 +95,16 @@ class SearchReport:
 
 
 def _require_verified_triple(t: DiophTuple) -> None:
+    # the pairs in dioph.tuples.verify's order; the first that fails is named
     if t.size != 3:
         raise ValueError(f"extension search needs a triple, got size {t.size}")
-    report = verify(t)
-    if not report.ok:
-        bad = report.failing_pairs()[0]
-        raise ValueError(
-            f"{t} is not a D({t.k}) triple: "
-            f"{bad.a}*{bad.b}{t.k:+d} = {bad.shifted} is not a square"
-        )
+    a, b, c = t.elements
+    k = t.k
+    for x, y in ((a, b), (a, c), (b, c)):
+        if is_perfect_square(x * y + k) is None:
+            raise ValueError(
+                f"{t} is not a D({k}) triple: {x}*{y}{k:+d} = {x * y + k} is not a square"
+            )
 
 
 def _require_bound(name: str, value: int, floor: int) -> None:
@@ -133,15 +134,18 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     """The fourth elements of t that the Pell reduction reaches.
 
     The two smallest elements a < b are reduced to X^2 - (a*b)*Y^2 =
-    k*b*(b-a); every solution class (solve_general finds them all) is walked
-    forwards max_index unit-multiplications from its member of least |Y|
-    (as PellClass.walk does).  Each member yields m = (x^2 - k)/a with
-    x = X/b when both divisions are exact, and a*m + k = x^2, b*m + k = Y^2
-    hold.  m <= 0 is discarded and m equal to an existing element is
-    reported as a self-hit.  Every other m with c*m + k a square extends
-    t and is a candidate; the report lists them distinct and ascending in
-    m, as brute_force_search does.  The members that fail this third
-    condition, most of the walk, are not recorded.
+    k*b*(b-a); every solution class is walked forwards max_index
+    unit-multiplications from its member of least |Y| (as PellClass.walk
+    does).  The classes come as plain integers from dioph.pell's core
+    _class_points, the one that dioph.pell.solve_general wraps in PellClass
+    records, so the walk and the public solver share one code path.  Each
+    member yields m = (x^2 - k)/a with x = X/b when both divisions are
+    exact, and a*m + k = x^2, b*m + k = Y^2 hold.  m <= 0 is discarded and
+    m equal to an existing element is reported as a self-hit.  Every other
+    m with c*m + k a square extends t and is a candidate; the report lists
+    them distinct and ascending in m, as brute_force_search does.  The
+    members that fail this third condition, most of the walk, are not
+    recorded.
 
     Whether b | X and a | x^2 - k is the same for every member of a class,
     so a class whose least member fails is dead and is skipped unwalked.
@@ -164,27 +168,29 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     return _search(t, "pell_sequence", max_index)
 
 
+def _live_classes(t: DiophTuple) -> list[tuple[int, int, int, int]]:
+    # the live classes of pell_extension_search's reduction, each as
+    # (x, Y, x1, y1): its least member in the reduced coordinates x = X/b
+    # and Y, and the unit of D = a*b.  When a*b is a square, the finite
+    # points instead, each with the unit (1, 0), which fixes it.
+    a, b, _ = t.elements
+    red = reduce_pair(a, b, t.k)
+    if is_perfect_square(red.D) is not None:
+        points, unit = _square_discriminant_solutions(red.D, red.N), (1, 0)
+    else:
+        points, unit = _class_points(red.D, red.N)
+    return [(X // b, Y, *unit) for X, Y in points if red.recover_m(X, Y) is not None]
+
+
 def _pell_members(t: DiophTuple, max_index: int) -> Iterator[tuple[int, int, int]]:
     # every member of pell_extension_search's walk with m > 0, as (m, x, Y)
     # with x^2 = a*m + k and Y^2 = b*m + k, for a D(k) triple that is
     # already verified; an m may come more than once, and may be in t
     a, b, _ = t.elements
     k = t.k
-    red = reduce_pair(a, b, k)
-    if is_perfect_square(red.D) is not None:
-        starts = [(X, Y, 1, 0) for X, Y in _square_discriminant_solutions(red.D, red.N)]
-        members = 1
-    else:
-        starts = [
-            (cls.rep.x, cls.rep.y, cls.unit.x, cls.unit.y)
-            for cls in solve_general(PellProblem(red.D, red.N))
-        ]
-        members = max_index + 1
-    for X, Y, x1, y1 in starts:
-        if red.recover_m(X, Y) is None:
-            continue  # dead
-        x, ay1, by1 = X // b, a * y1, b * y1
-        for _ in range(members):
+    for x, Y, x1, y1 in _live_classes(t):
+        ay1, by1 = a * y1, b * y1
+        for _ in range(max_index + 1 if y1 else 1):  # a finite point is walked once
             m = (x * x - k) // a
             if m > 0:
                 yield m, x, Y
@@ -324,8 +330,15 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     Squareness mod 2^j is decided without a table: write x = 2^v*u with u
     odd; x is a square mod 2^j exactly when x = 0 mod 2^j, or v is even and
     u = 1 mod 2^min(j-v, 3).  A modulus that does not certify stops at the
-    first residue m allowed by all three elements; only a certifying modulus
-    enumerates all M residues.
+    first residue m allowed by all three elements.  Only a certifying
+    modulus lists the allowed residues, and it lists them without testing
+    each m: by the criterion, e*m + k is a square mod 2^j exactly when
+    e*m + k = 0 (mod 2^j) or e*m + k = 2^v (mod 2^(v + min(j-v, 3))) for
+    an even v < j.  A linear congruence e*m + k = r (mod 2^i) holds on one
+    residue class of m modulo 2^i/gcd(e, 2^i), or on none, so each element
+    allows a union of at most ceil(j/2) + 1 progressions mod 2^j, and listing
+    them costs about as much as the residues they hold.
+    verify_certificate still re-derives every set by enumeration.
 
     The powers 2, 4, 8, ... up to max_modulus are scanned upwards, and the
     first that certifies is returned with its allowed residues listed.  A
@@ -357,10 +370,7 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
         M = 1 << j
         m = next((m for m in range(least or 0, M) if common(m, j)), None)
         if m is None:
-            allowed = {
-                e: frozenset(m for m in range(M) if square(e * m + k, j)) for e in t.elements
-            }
-            return ModularCertificate(M, allowed)
+            return ModularCertificate(M, {e: _allowed_residues(e, k, j) for e in t.elements})
         # a carried m was tried mod the top power when it was first found
         if m != least and common(m, top):
             return None  # common up to the cap: no power of 2 can certify
@@ -368,13 +378,30 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     return None
 
 
+def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
+    # {m mod 2^j : e*m + k is a square mod 2^j}, as the union of the
+    # progressions of find_certificate's docstring: one per target
+    # e*m + k = r (mod 2^i) that has a solution
+    targets = [(0, j)] + [(1 << v, v + min(j - v, 3)) for v in range(0, j, 2)]
+    progressions = []
+    for r, i in targets:
+        g = gcd(e, 1 << i)
+        if (r - k) % g == 0:
+            step = (1 << i) // g
+            start = (r - k) // g * pow(e // g, -1, step) % step
+            progressions.append(range(start, 1 << j, step))
+    return frozenset().union(*progressions)
+
+
 def _is_square_mod_power_of_2(x: int, j: int) -> bool:
-    # the 2-adic criterion of find_certificate's docstring
+    # the 2-adic criterion of find_certificate's docstring; cut to j bits,
+    # the odd part u is below 2^(j-v), so u = 1 (mod 2^min(j-v, 3)) reads
+    # u = 1 (mod 8)
     x &= (1 << j) - 1
     if x == 0:
         return True
     v = (x & -x).bit_length() - 1
-    return not v & 1 and (x >> v) & ((1 << min(j - v, 3)) - 1) == 1
+    return not v & 1 and (x >> v) & 7 == 1
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

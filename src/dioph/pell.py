@@ -49,7 +49,9 @@ def _require_nonsquare(D: int) -> None:
         raise ValueError(f"D must be a non-square integer >= 2, got {D}")
 
 
-def _expand(D: int) -> tuple[int, set[tuple[int, int]], PellSolution, PellSolution | None]:
+def _expand(
+    D: int,
+) -> tuple[int, set[tuple[int, int]], tuple[int, int], tuple[int, int] | None]:
     """One period of the continued fraction sqrt(D) = [a0; a1, ..., aL],
     which ends at the first partial quotient aL = 2*a0.
 
@@ -77,14 +79,14 @@ def _expand(D: int) -> tuple[int, set[tuple[int, int]], PellSolution, PellSoluti
         p, p0 = a * p + p0, p
         q, q0 = a * q + q0, q
     if p * p - D * q * q == 1:
-        return a0, states, PellSolution(p, q), None
-    return a0, states, PellSolution(p * p + D * q * q, 2 * p * q), PellSolution(p, q)
+        return a0, states, (p, q), None
+    return a0, states, (p * p + D * q * q, 2 * p * q), (p, q)
 
 
 def fundamental_solution(D: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 with y >= 1, from the convergents
     of sqrt(D)."""
-    return _expand(D)[2]
+    return PellSolution(*_expand(D)[2])
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,8 @@ class PellClass:
             raise ValueError("rep does not satisfy the defining equation")
         if self.unit.x * self.unit.x - D * self.unit.y * self.unit.y != 1:
             raise ValueError("unit does not satisfy the unit equation")
-        object.__setattr__(self, "rep", PellSolution(*_least_member(D, self.unit, x, y)))
+        least = _least_member(D, self.unit.x, self.unit.y, x, y)
+        object.__setattr__(self, "rep", PellSolution(*least))
 
     def walk(self) -> Iterator[tuple[int, int]]:
         """The signed members rep * unit**n for n = 0, 1, 2, ..., without
@@ -179,8 +182,20 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     and the classes are sorted by (rep.y, rep.x < 0).  |N| is factored by
     trial division (see dioph.arith.factorize), which raises ValueError when
     it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
+
+    The classes are built from the integers of _class_points, which the
+    Pell walk of dioph.extension reads directly.
     """
-    D, N = problem.D, problem.N
+    points, (x1, y1) = _class_points(problem.D, problem.N)
+    unit = PellSolution(x1, y1)
+    return [PellClass(problem, PellSolution(x, y), unit) for x, y in points]
+
+
+def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """solve_general's classes of x^2 - D*y^2 = N as plain integers: the
+    least member (x, y) of each class, sorted by (y, x < 0), and the
+    fundamental unit (x1, y1) of D.  D and N are as in PellProblem: D a
+    non-square >= 2, N nonzero."""
     factors = []
     s = 1
     for p, e in factorize(abs(N)):
@@ -188,8 +203,7 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
         while e >= 2 and D % q == 0:
             D, N, s, e = D // q, N // q, s * p, e - 2
         factors.append((p, e))
-    a0, principal, reduced_unit, negative_unit = _expand(D)
-    x1, y1 = reduced_unit.x, reduced_unit.y
+    a0, principal, (x1, y1), negative_unit = _expand(D)
     # per prime power p**e of |N|: each p**h with p**(2h) | N, the part
     # p**(e-2h) it leaves of m = N/f^2, and the roots of D modulo that part
     choices = [
@@ -215,30 +229,31 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
             reps.append((f * xy[0], f * xy[1]))
             if 0 < 2 * z < size:
                 reps.append((-f * xy[0], f * xy[1]))
-    if not reps:
-        return []
     powers = [(1, 0)]  # e'**i for 0 <= i < r
     ux, uy = x1, y1
     while uy % s:
         powers.append((ux, uy))
         ux, uy = ux * x1 + D * uy * y1, ux * y1 + uy * x1
-    unit = PellSolution(ux, uy // s)
+    unit = ux, uy // s
+    if not reps:
+        return [], unit
     half = len(powers) // 2 + 1  # e'**(i-r) = e'**i * (ux, -uy) for i >= half
     powers[half:] = [(px * ux - D * py * uy, py * ux - px * uy) for px, py in powers[half:]]
-    classes = [
-        PellClass(problem, PellSolution(s * (u * px + D * v * py), u * py + v * px), unit)
+    full = D * s * s  # the D asked about
+    points = [
+        _least_member(full, *unit, s * (u * px + D * v * py), u * py + v * px)
         for u, v in reps
         for px, py in powers
     ]
-    classes.sort(key=lambda c: (c.rep.y, c.rep.x < 0))
-    return classes
+    points.sort(key=lambda xy: (xy[1], xy[0] < 0))
+    return points, unit
 
 
 def _lmm_solution(
     D: int,
     a0: int,
     principal: set[tuple[int, int]],
-    negative_unit: PellSolution | None,
+    negative_unit: tuple[int, int] | None,
     z: int,
     m: int,
 ) -> tuple[int, int] | None:
@@ -263,29 +278,34 @@ def _lmm_solution(
         return G1, B1
     if negative_unit is None:
         return None
-    t, u = negative_unit.x, negative_unit.y
+    t, u = negative_unit
     return G1 * t + D * B1 * u, G1 * u + B1 * t
 
 
-def _least_member(D: int, unit: PellSolution, x: int, y: int) -> tuple[int, int]:
+def _least_member(D: int, x1: int, y1: int, x: int, y: int) -> tuple[int, int]:
     """The member of the class of (x, y) with least y >= 0, x >= 0 on a tie.
 
     Along rep * unit**n, 2*sqrt(D)*y = alpha*e**n - alpha'*e**-n with
     alpha*alpha' = N: monotone in n for N > 0, convex and of one sign for
     N < 0.  Either way |y| falls and then rises, so the walk stops at the
-    least |y|, and a tie can only be with one neighbour.
+    least |y|, and a tie can only be with one neighbour.  (x1, y1) is the
+    fundamental unit of D.
     """
-    x1, y1 = unit.x, unit.y
     while True:
-        fx, fy = x * x1 + D * y * y1, x * y1 + y * x1
-        bx, by = x * x1 - D * y * y1, y * x1 - x * y1
+        # the y of the neighbours (x, y) * unit**(+-1); their x only on a step
+        p, q = x * y1, y * x1
+        fy, by = q + p, q - p
         if abs(fy) < abs(y):
-            x, y = fx, fy
+            x, y = x * x1 + D * y * y1, fy
         elif abs(by) < abs(y):
-            x, y = bx, by
+            x, y = x * x1 - D * y * y1, by
         else:
             break
-    ties = [(x, y)] + [(u, v) for u, v in ((fx, fy), (bx, by)) if abs(v) == abs(y)]
+    ties = [(x, y)]  # a neighbour ties only in a class that is its own mirror
+    if abs(fy) == abs(y):
+        ties.append((x * x1 + D * y * y1, fy))
+    if abs(by) == abs(y):
+        ties.append((x * x1 - D * y * y1, by))
     return max((-u, -v) if (v, u) < (0, 0) else (u, v) for u, v in ties)
 
 

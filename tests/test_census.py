@@ -35,7 +35,16 @@ def test_default_run_certificate_moduli():
     assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
 
 
-@pytest.mark.parametrize("argv", [["--limit", "0"], ["--show", "-1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--limit", "0"],
+        ["--show", "-1"],
+        # k ranges that hold no nonzero k: reversed, and k = 0 alone
+        ["--k-max", "1", "--k-min", "3"],
+        ["--k-max", "0", "--k-min", "0"],
+    ],
+)
 def test_bad_bound_is_usage_error(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -20,8 +20,11 @@ from dioph.extension import (
     ExtensionCandidate,
     ModularCertificate,
     SearchReport,
+    _allowed_residues,
     _is_square_mod_power_of_2,
+    _live_classes,
     _pell_members,
+    _require_verified_triple,
     _search,
     _square_discriminant_solutions,
     brute_force_search,
@@ -30,7 +33,7 @@ from dioph.extension import (
     search_and_certify,
     verify_certificate,
 )
-from dioph.pell import PellProblem, solve_general
+from dioph.pell import PellProblem, _class_points, solve_general
 from dioph.tuples import (
     DiophTuple,
     enumerate_triples,
@@ -326,6 +329,49 @@ class TestPellExtensionSearch:
             pell_extension_search(DiophTuple((4, 12, 33), -8), 10)
         with pytest.raises(ValueError):
             pell_extension_search(T_7_14_41, -1)
+
+    @pytest.mark.parametrize(
+        "elements,k,failing",
+        [
+            ((1, 2, 3), 1, "1*2+1 = 3"),  # the first pair fails, the others too
+            ((1, 3, 9), 1, "1*9+1 = 10"),  # the second pair
+            ((1, 3, 15), 1, "3*15+1 = 46"),  # the third pair only
+            ((4, 12, 33), -8, "4*12-8 = 40"),
+        ],
+    )
+    def test_names_the_first_failing_pair(self, elements, k, failing):
+        # the pairs are tested in verify's order and the first failure is
+        # named, for every search
+        t = DiophTuple(elements, k)
+        bad = verify(t).failing_pairs()[0]
+        assert failing == f"{bad.a}*{bad.b}{k:+d} = {bad.shifted}"
+        message = f"{t} is not a D({k}) triple: {failing} is not a square"
+        for search in (lambda: pell_extension_search(t, 10), lambda: brute_force_search(t, 10),
+                       lambda: find_certificate(t, 512), lambda: search_and_certify(t)):
+            with pytest.raises(ValueError) as raised:
+                search()
+            assert str(raised.value) == message
+
+    def test_live_classes_are_the_classes_that_recover_an_m(self):
+        # _live_classes keeps exactly the classes of solve_general (or the
+        # finite points, for a square a*b) whose least member recover_m
+        # accepts, in the reduced coordinates (X/b, Y), with their unit
+        kinds = Counter()
+        for t in benchmark_pool():
+            a, b, _ = t.elements
+            red = reduce_pair(a, b, t.k)
+            if is_perfect_square(red.D) is not None:
+                points = [(X, Y, 1, 0) for X, Y in _square_discriminant_solutions(red.D, red.N)]
+            else:
+                points = [(c.rep.x, c.rep.y, c.unit.x, c.unit.y)
+                          for c in solve_general(PellProblem(red.D, red.N))]
+            live = [(X // b, Y, x1, y1) for X, Y, x1, y1 in points
+                    if red.recover_m(X, Y) is not None]
+            assert _live_classes(t) == live, t
+            kinds["live"] += len(live)
+            kinds["dead"] += len(points) - len(live)
+            kinds["finite"] += sum(y1 == 0 for *_, y1 in live)
+        assert kinds["live"] and kinds["dead"] and kinds["finite"]
 
     def test_near_extension_ladder_of_7_14_41(self):
         rungs, hits = checked_ladder(T_7_14_41, 30)
@@ -636,6 +682,29 @@ class TestFindCertificate:
             for x in range(-q, 2 * q):
                 assert _is_square_mod_power_of_2(x, j) == (x % q in squares), (x, q)
 
+    def test_listing_matches_enumeration(self):
+        # the certifying branch's progressions against the 2-adic square
+        # test at every m: every e and k mod 2^j for j <= 8, then seeded
+        # random e and k, 2-heavy ones included, up to 2^14
+        for j in range(1, 9):
+            M = 1 << j
+            squares = [x for x in range(M) if _is_square_mod_power_of_2(x, j)]
+            for e in range(M):
+                by_product = [[] for _ in range(M)]  # the m with e*m = x (mod M), per x
+                for m in range(M):
+                    by_product[e * m % M].append(m)
+                for k in range(M):
+                    expected = frozenset(m for x in squares for m in by_product[(x - k) % M])
+                    assert _allowed_residues(e, k, j) == expected, (e, k, j)
+        rng = random.Random(31)
+        for j in range(9, 15):
+            M = 1 << j
+            for _ in range(24):
+                e = rng.randrange(1, 1 << 20) << rng.randrange(16)
+                k = rng.choice([-1, 1]) * (rng.randrange(1, 1 << 20) << rng.randrange(16))
+                expected = frozenset(m for m in range(M) if _is_square_mod_power_of_2(e * m + k, j))
+                assert _allowed_residues(e, k, j) == expected, (e, k, j)
+
     def test_proof_gives_a_p_adic_witness_at_every_odd_prime(self):
         # find_certificate's four cases on real triples: every triple with
         # elements <= 60 and 1 <= |k| <= 300 in which an odd prime divides
@@ -840,14 +909,15 @@ class TestSearchAndCertify:
 
 class TestVerifiesOncePerSearch:
     @pytest.fixture
-    def verify_calls(self, monkeypatch):
+    def guard_calls(self, monkeypatch):
+        # the searches check a triple with _require_verified_triple, not verify
         calls = []
 
-        def counting_verify(t):
+        def counting_guard(t):
             calls.append(t)
-            return verify(t)
+            return _require_verified_triple(t)
 
-        monkeypatch.setattr("dioph.extension.verify", counting_verify)
+        monkeypatch.setattr("dioph.extension._require_verified_triple", counting_guard)
         return calls
 
     @pytest.mark.parametrize(
@@ -858,15 +928,15 @@ class TestVerifiesOncePerSearch:
             (T_7_14_41, 3, VERDICT_BOUNDED),
         ],
     )
-    def test_search_and_certify(self, verify_calls, t, max_modulus, verdict):
+    def test_search_and_certify(self, guard_calls, t, max_modulus, verdict):
         # the certificate scan trusts the triple the search has verified
         assert search_and_certify(t, 15, max_modulus).verdict == verdict
-        assert verify_calls == [t]
+        assert guard_calls == [t]
 
-    def test_extend_with_brute_force(self, verify_calls, capsys):
+    def test_extend_with_brute_force(self, guard_calls, capsys):
         argv = ["extend", "--set", "7,14,41", "--k", "2", "--strategy", "brute", "--max-m", "1000"]
         assert cli_main(argv) == 3
-        assert verify_calls == [T_7_14_41]
+        assert guard_calls == [T_7_14_41]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -903,14 +973,16 @@ def walk_first(t, strategy, bound, max_modulus):
 
 class TestCertificateFirst:
     @pytest.fixture
-    def solve_calls(self, monkeypatch):
+    def class_calls(self, monkeypatch):
+        # the walk reads the classes from dioph.pell's integer core, the
+        # one solve_general wraps
         calls = []
 
-        def counting_solve_general(problem):
-            calls.append(problem)
-            return solve_general(problem)
+        def counting_class_points(D, N):
+            calls.append((D, N))
+            return _class_points(D, N)
 
-        monkeypatch.setattr("dioph.extension.solve_general", counting_solve_general)
+        monkeypatch.setattr("dioph.extension._class_points", counting_class_points)
         return calls
 
     @pytest.mark.parametrize("strategy,bound", [("pell_sequence", 15), ("brute_force", 10**4)])
@@ -940,20 +1012,20 @@ class TestCertificateFirst:
                 (VERDICT_EXTENDED, VERDICT_CERTIFIED, VERDICT_BOUNDED), counts
             ))
 
-    def test_a_certified_triple_is_not_walked(self, solve_calls):
+    def test_a_certified_triple_is_not_walked(self, class_calls):
         assert search_and_certify(T_7_14_41).verdict == VERDICT_CERTIFIED
-        assert solve_calls == []
+        assert class_calls == []
         # below its certifying modulus 4 the walk runs
         assert search_and_certify(T_7_14_41, 30, 3).verdict == VERDICT_BOUNDED
-        assert len(solve_calls) == 1
+        assert len(class_calls) == 1
 
-    def test_the_pool_walks_only_its_uncertified_triples(self, solve_calls):
+    def test_the_pool_walks_only_its_uncertified_triples(self, class_calls):
         # 2023 of the 2033 pool triples reduce to a non-square discriminant;
         # the 772 of them that a power of 2 up to 512 certifies are not walked
         for t in benchmark_pool():
             search_and_certify(t, 15, 512)
-        assert len(solve_calls) == 1251
-        solve_calls.clear()
+        assert len(class_calls) == 1251
+        class_calls.clear()
         for t in benchmark_pool():
             walk_first(t, "pell_sequence", 15, 512)
-        assert len(solve_calls) == 2023
+        assert len(class_calls) == 2023

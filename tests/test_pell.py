@@ -11,6 +11,7 @@ from dioph.pell import (
     PellClass,
     PellProblem,
     PellSolution,
+    _class_points,
     fundamental_solution,
     solve_general,
 )
@@ -243,6 +244,23 @@ class TestSolveGeneral:
         reps = [(c.rep.x, c.rep.y) for c in classes]
         assert len(set(reps)) == count
         assert reps == sorted(reps, key=lambda r: (r[1], r[0] < 0))
+
+    def test_records_wrap_the_integer_core(self):
+        # solve_general builds its records from _class_points and changes
+        # nothing: the same reps in the same order, and the same unit, also
+        # where D and N share a square that is divided out
+        grid = [(D, N) for D in NONSQUARE_D if D < 60 for N in range(-30, 31) if N]
+        grid += [(s * s * D, s * s * N) for s in (2, 3, 4, 6)
+                 for D in (2, 3, 5, 7, 13) for N in (-14, -7, -1, 1, 2, 14)]
+        soluble = 0
+        for D, N in grid:
+            points, unit = _class_points(D, N)
+            classes = solve_general(PellProblem(D, N))
+            assert [(c.rep.x, c.rep.y) for c in classes] == points, (D, N)
+            assert all((c.unit.x, c.unit.y) == unit for c in classes), (D, N)
+            assert unit[0] ** 2 - D * unit[1] ** 2 == 1 and unit[1] >= 1, (D, N)
+            soluble += bool(classes)
+        assert soluble > len(grid) // 4
 
     def test_unfactorable_n_rejected(self):
         # 10^12 + 39 is prime, above TRIAL_DIVISION_BOUND**2
