@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt
 
-from .arith import factorize, is_perfect_square
+from .arith import is_perfect_square
 from .pell import _class_points
 from .tuples import DiophTuple, reduce_pair, square_points
 
@@ -85,7 +84,7 @@ class SearchReport:
     self_hits: tuple[int, ...] = ()
     certificate: ModularCertificate | None = None
 
-    @cached_property
+    @property
     def verdict(self) -> str:
         if self.candidates:
             return VERDICT_EXTENDED
@@ -160,10 +159,10 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     x1*Y, integral at every member, so no member is divided by b.
 
     When a*b happens to be a perfect square the reduced equation factors and
-    has finitely many solutions, which are enumerated outright and walked
-    as classes of one member each.  Either way
-    |k*b*(b-a)| is factored by trial division, which raises ValueError when
-    it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
+    has finitely many solutions; _class_points lists them as classes of one
+    member each, with the unit (1, 0), so the walk stays on each.  Either
+    way |k*b*(b-a)| is factored by trial division, which raises ValueError
+    when it leaves a cofactor above TRIAL_DIVISION_BOUND**2.
     """
     return _search(t, "pell_sequence", max_index)
 
@@ -171,26 +170,23 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
 def _live_classes(t: DiophTuple) -> list[tuple[int, int, int, int]]:
     # the live classes of pell_extension_search's reduction, each as
     # (x, Y, x1, y1): its least member in the reduced coordinates x = X/b
-    # and Y, and the unit of D = a*b.  When a*b is a square, the finite
-    # points instead, each with the unit (1, 0), which fixes it.
+    # and Y, and the unit of D = a*b, which is (1, 0) when a*b is a square
     a, b, _ = t.elements
     red = reduce_pair(a, b, t.k)
-    if is_perfect_square(red.D) is not None:
-        points, unit = _square_discriminant_solutions(red.D, red.N), (1, 0)
-    else:
-        points, unit = _class_points(red.D, red.N)
+    points, unit = _class_points(red.D, red.N)
     return [(X // b, Y, *unit) for X, Y in points if red.recover_m(X, Y) is not None]
 
 
 def _pell_members(t: DiophTuple, max_index: int) -> Iterator[tuple[int, int, int]]:
     # every member of pell_extension_search's walk with m > 0, as (m, x, Y)
     # with x^2 = a*m + k and Y^2 = b*m + k, for a D(k) triple that is
-    # already verified; an m may come more than once, and may be in t
+    # already verified; an m may come more than once (the unit (1, 0) of a
+    # square a*b repeats its point), and may be in t
     a, b, _ = t.elements
     k = t.k
     for x, Y, x1, y1 in _live_classes(t):
         ay1, by1 = a * y1, b * y1
-        for _ in range(max_index + 1 if y1 else 1):  # a finite point is walked once
+        for _ in range(max_index + 1):
             m = (x * x - k) // a
             if m > 0:
                 yield m, x, Y
@@ -210,23 +206,6 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
             found[m] = ExtensionCandidate(m, {a: abs(x), b: abs(Y), c: rc})
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
-
-
-def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
-    # X^2 - d^2*Y^2 = N factors as (X - d*Y)(X + d*Y) = N: finitely many
-    # divisor pairs, no unit to advance by.
-    d = isqrt(D)
-    divisors = [1]
-    for p, power in factorize(abs(N)):
-        divisors = [q * p**i for q in divisors for i in range(power + 1)]
-    out = set()
-    for e in divisors:
-        for lo in (e, -e):
-            hi = N // lo
-            if (lo + hi) % 2 or (hi - lo) % (2 * d):
-                continue
-            out.add((abs(lo + hi) // 2, abs(hi - lo) // (2 * d)))
-    return sorted(out)
 
 
 def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:

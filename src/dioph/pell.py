@@ -175,8 +175,7 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
     +-e'**(r*n), e' the unit of D/s^2 and r the least power of e' whose y
     is divisible by s.  Each reduced class therefore splits into the r
     classes of rep * e'**i, 0 <= i < r.  With s = 1, r = 1 and nothing
-    splits.  For i > r/2 the class is built on rep * e'**(i - r), the same
-    class under the unit e'**r of D, which lies nearer its least member.
+    splits.
 
     Each class holds its member of least y >= 0 (x >= 0 on a tie) as rep,
     and the classes are sorted by (rep.y, rep.x < 0).  |N| is factored by
@@ -194,8 +193,16 @@ def solve_general(problem: PellProblem) -> list[PellClass]:
 def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
     """solve_general's classes of x^2 - D*y^2 = N as plain integers: the
     least member (x, y) of each class, sorted by (y, x < 0), and the
-    fundamental unit (x1, y1) of D.  D and N are as in PellProblem: D a
-    non-square >= 2, N nonzero."""
+    fundamental unit (x1, y1) of D.  N is nonzero and D >= 1.
+
+    A square D, which PellProblem rejects, has no unit to walk by: the
+    equation has finitely many solutions with x, y >= 0, each one its own
+    class, and they come sorted by y with the unit (1, 0), which fixes
+    every point.
+    """
+    if is_perfect_square(D) is not None:
+        # sorted by x, the same order: x^2 = N + D*y^2 rises with y
+        return _square_discriminant_solutions(D, N), (1, 0)
     factors = []
     s = 1
     for p, e in factorize(abs(N)):
@@ -235,10 +242,6 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
         powers.append((ux, uy))
         ux, uy = ux * x1 + D * uy * y1, ux * y1 + uy * x1
     unit = ux, uy // s
-    if not reps:
-        return [], unit
-    half = len(powers) // 2 + 1  # e'**(i-r) = e'**i * (ux, -uy) for i >= half
-    powers[half:] = [(px * ux - D * py * uy, py * ux - px * uy) for px, py in powers[half:]]
     full = D * s * s  # the D asked about
     points = [
         _least_member(full, *unit, s * (u * px + D * v * py), u * py + v * px)
@@ -247,6 +250,23 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
     ]
     points.sort(key=lambda xy: (xy[1], xy[0] < 0))
     return points, unit
+
+
+def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
+    # X^2 - d^2*Y^2 = N factors as (X - d*Y)(X + d*Y) = N: finitely many
+    # divisor pairs, no unit to advance by.
+    d = isqrt(D)
+    divisors = [1]
+    for p, power in factorize(abs(N)):
+        divisors = [q * p**i for q in divisors for i in range(power + 1)]
+    out = set()
+    for e in divisors:
+        for lo in (e, -e):
+            hi = N // lo
+            if (lo + hi) % 2 or (hi - lo) % (2 * d):
+                continue
+            out.add((abs(lo + hi) // 2, abs(hi - lo) // (2 * d)))
+    return sorted(out)
 
 
 def _lmm_solution(

@@ -26,7 +26,6 @@ from dioph.extension import (
     _pell_members,
     _require_verified_triple,
     _search,
-    _square_discriminant_solutions,
     brute_force_search,
     find_certificate,
     pell_extension_search,
@@ -106,13 +105,22 @@ def member_ladder(t, max_index):
     return dict(sorted(rungs.items())), tuple(sorted(hits))
 
 
+def square_discriminant_points(D, N):
+    """Every solution with x, y >= 0 of x^2 - D*y^2 = N for a square D = d^2,
+    sorted by y, by enumerating the box 0 <= y <= |N| // d: |x - d*y| >= 1
+    forces x + d*y <= |N|, and each y fixes x."""
+    d = isqrt(D)
+    points = [(is_perfect_square(N + D * y * y), y) for y in range(abs(N) // d + 1)]
+    return [(x, y) for x, y in points if x is not None]
+
+
 def reference_ladder(t, max_index):
     """member_ladder's form, from a walk of every Pell class, mirrors
     included, max_index unit steps both ways from its stored representative."""
     a, b, _ = t.elements
     red = reduce_pair(a, b, t.k)
     if is_perfect_square(red.D) is not None:
-        solutions = _square_discriminant_solutions(red.D, red.N)
+        solutions = square_discriminant_points(red.D, red.N)
     else:
         solutions = []
         for cls in solve_general(PellProblem(red.D, red.N)):
@@ -175,13 +183,10 @@ def small_dk_triples(seed, count):
     return [DiophTuple(elements, k) for elements, k in sample]
 
 
-def default_census_triples():
+@cache
+def census_triples() -> tuple[DiophTuple, ...]:
     """The 618 triples of the default census: elements <= 150, k in [-5, 5]."""
-    return [
-        DiophTuple(elements, k)
-        for k in range(-5, 6) if k
-        for elements in enumerate_triples(150, k)
-    ]
+    return tuple(DiophTuple(e, k) for k in range(-5, 6) if k for e in enumerate_triples(150, k))
 
 
 @cache
@@ -361,7 +366,7 @@ class TestPellExtensionSearch:
             a, b, _ = t.elements
             red = reduce_pair(a, b, t.k)
             if is_perfect_square(red.D) is not None:
-                points = [(X, Y, 1, 0) for X, Y in _square_discriminant_solutions(red.D, red.N)]
+                points = [(X, Y, 1, 0) for X, Y in square_discriminant_points(red.D, red.N)]
             else:
                 points = [(c.rep.x, c.rep.y, c.unit.x, c.unit.y)
                           for c in solve_general(PellProblem(red.D, red.N))]
@@ -450,7 +455,7 @@ class TestPellExtensionSearch:
     def test_matches_walk_over_every_class(self, index):
         cases = WALK_FIXTURES + small_dk_triples(6, 40)
         if index == 15:  # the census's depth, over the census's triples
-            cases += default_census_triples()
+            cases += census_triples()
         kinds = set()
         for t in cases:
             red = reduce_pair(t.elements[0], t.elements[1], t.k)
@@ -485,7 +490,7 @@ class TestPellExtensionSearch:
     def test_a_class_yields_m_at_every_member_or_at_none(self):
         # pell_extension_search skips a class whose rep yields no m; the
         # default census's triples have 443 such classes among 2400
-        census = default_census_triples()
+        census = census_triples()
         samples = small_dk_triples(6, 40) + small_dk_triples(11, 40) + small_dk_triples(4, 40)
         counts = {}
         for name, cases in [("fixtures", WALK_FIXTURES + samples), ("census", census)]:
@@ -528,7 +533,7 @@ class TestBruteForceSearch:
     def test_reports_what_the_pell_search_reports_on_default_census(self):
         # both strategies list only the m that extend, so below the
         # oracle's bound their lists agree record for record
-        triples = default_census_triples()
+        triples = census_triples()
         assert len(triples) == 618
         extended = 0
         for t in triples:
@@ -576,7 +581,7 @@ class TestBruteForceSearch:
             assert_roots_hold(report)
 
     def test_matches_smallest_element_walk_on_default_census(self, walked):
-        triples = default_census_triples()
+        triples = census_triples()
         assert len(triples) == 618
         stepped_elsewhere = {}
         for max_m in (1, 7, 100, 10**4):
@@ -769,7 +774,7 @@ class TestFindCertificate:
         # the squares mod each p^j <= 512, stopping at the first residue
         # common to all three elements
         squares = {}
-        for t in default_census_triples():
+        for t in census_triples():
             e1, e2, e3 = t.elements
             for p in ODD_PRIMES_TO_23:
                 q = p
@@ -954,12 +959,6 @@ def benchmark_pool() -> tuple[DiophTuple, ...]:
     return tuple(DiophTuple(elements, k) for elements, k in pool.triple_pool())
 
 
-@cache
-def census_triples() -> tuple[DiophTuple, ...]:
-    # the default census: elements <= 150, k in [-5, 5]
-    return tuple(DiophTuple(e, k) for k in range(-5, 6) if k for e in enumerate_triples(150, k))
-
-
 def walk_first(t, strategy, bound, max_modulus):
     """The walk, then find_certificate when nothing extends: the order that
     search_and_certify's certificate-first stages must agree with."""
@@ -1020,12 +1019,12 @@ class TestCertificateFirst:
         assert len(class_calls) == 1
 
     def test_the_pool_walks_only_its_uncertified_triples(self, class_calls):
-        # 2023 of the 2033 pool triples reduce to a non-square discriminant;
-        # the 772 of them that a power of 2 up to 512 certifies are not walked
+        # every walk reads _class_points, square a*b included; the 777 pool
+        # triples that a power of 2 up to 512 certifies are not walked
         for t in benchmark_pool():
             search_and_certify(t, 15, 512)
-        assert len(class_calls) == 1251
+        assert len(class_calls) == 2033 - 777
         class_calls.clear()
         for t in benchmark_pool():
             walk_first(t, "pell_sequence", 15, 512)
-        assert len(class_calls) == 2023
+        assert len(class_calls) == 2033

@@ -262,6 +262,17 @@ class TestSolveGeneral:
             soluble += bool(classes)
         assert soluble > len(grid) // 4
 
+    def test_square_discriminant_points_match_the_box(self):
+        # a square D = d^2 has finitely many solutions with x, y >= 0, each
+        # its own class, fixed by the unit (1, 0); |x - d*y| >= 1 forces
+        # x + d*y <= |N|, so the box x <= |N|, y <= |N| // d holds them all
+        for d in range(1, 13):
+            for N in range(-200, 201):
+                if N:
+                    box = brute_solutions(d * d, N, abs(N) // d)
+                    assert all(x <= abs(N) for x, _ in box), (d, N)
+                    assert _class_points(d * d, N) == (box, (1, 0)), (d, N)
+
     def test_unfactorable_n_rejected(self):
         # 10^12 + 39 is prime, above TRIAL_DIVISION_BOUND**2
         assert TRIAL_DIVISION_BOUND**2 < 10**12 + 39
