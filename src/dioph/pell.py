@@ -10,7 +10,6 @@ pass over the period of the continued fraction of sqrt(D), which stays internal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import isqrt
 from typing import Iterator
 
@@ -200,32 +199,29 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
     class, and they come sorted by y with the unit (1, 0), which fixes
     every point.
     """
+    factors = factorize(abs(N))
     if is_perfect_square(D) is not None:
-        # sorted by x, the same order: x^2 = N + D*y^2 rises with y
-        return _square_discriminant_solutions(D, N), (1, 0)
-    factors = []
+        return _square_discriminant_solutions(D, N, factors), (1, 0)
     s = 1
-    for p, e in factorize(abs(N)):
+    for i, (p, e) in enumerate(factors):
         q = p * p
         while e >= 2 and D % q == 0:
             D, N, s, e = D // q, N // q, s * p, e - 2
-        factors.append((p, e))
+        factors[i] = p, e  # now a factorisation of |N| / s^2
     a0, principal, (x1, y1), negative_unit = _expand(D)
-    # per prime power p**e of |N|: each p**h with p**(2h) | N, the part
-    # p**(e-2h) it leaves of m = N/f^2, and the roots of D modulo that part
-    choices = [
-        [
-            (p**h, p ** (e - 2 * h), _roots_mod_prime_power(D, p, e - 2 * h))
-            for h in range(e // 2 + 1)
-        ]
-        for p, e in factors
-    ]
+    # (f, |m|, the roots of D modulo |m|) for each f with f^2 | N, m = N/f^2,
+    # one prime power p**e of |N| at a time: p**h in f leaves p**(e-2h) in |m|
+    parts = [(1, 1, [0])]
+    for p, e in factors:
+        grown = []
+        for h in range(e // 2 + 1):
+            q = p ** (e - 2 * h)
+            roots = _roots_mod_prime_power(D, p, e - 2 * h)
+            for f, size, zs in parts:
+                grown.append((f * p**h, size * q, _crt(zs, size, roots, q)))
+        parts = grown
     reps: list[tuple[int, int]] = []
-    for choice in product(*choices):
-        f, size, zs = 1, 1, [0]
-        for ph, q, roots in choice:
-            zs = _crt(zs, size, roots, q)
-            f, size = f * ph, size * q
+    for f, size, zs in parts:
         m = N // (f * f)
         for z in zs:
             if 2 * z > size:
@@ -252,21 +248,23 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
     return points, unit
 
 
-def _square_discriminant_solutions(D: int, N: int) -> list[tuple[int, int]]:
-    # X^2 - d^2*Y^2 = N factors as (X - d*Y)(X + d*Y) = N: finitely many
-    # divisor pairs, no unit to advance by.
+def _square_discriminant_solutions(
+    D: int, N: int, factors: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    # X^2 - d^2*Y^2 = N is (X - d*Y)(X + d*Y) = lo*hi = N, factors being those
+    # of |N|.  X, Y >= 0 means 0 < |lo| <= hi, so each point comes from one
+    # divisor lo of N with the sign of N and lo^2 <= |N|.  Sorted by X, the
+    # points are sorted by Y too, as X^2 = N + D*Y^2.
     d = isqrt(D)
-    divisors = [1]
-    for p, power in factorize(abs(N)):
-        divisors = [q * p**i for q in divisors for i in range(power + 1)]
-    out = set()
-    for e in divisors:
-        for lo in (e, -e):
-            hi = N // lo
-            if (lo + hi) % 2 or (hi - lo) % (2 * d):
-                continue
-            out.add((abs(lo + hi) // 2, abs(hi - lo) // (2 * d)))
-    return sorted(out)
+    los = [1 if N > 0 else -1]
+    for p, power in factors:
+        los = [q * p**i for q in los for i in range(power + 1)]
+    points = []
+    for lo in los:
+        hi = N // lo
+        if -hi <= lo <= hi and (lo + hi) % 2 == 0 and (hi - lo) % (2 * d) == 0:
+            points.append(((lo + hi) // 2, (hi - lo) // (2 * d)))
+    return sorted(points)
 
 
 def _lmm_solution(
