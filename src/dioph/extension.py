@@ -22,7 +22,6 @@ deliberately shares no residue-set code with the finder.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -146,17 +145,19 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     members that fail this third condition, most of the walk, are not
     recorded.
 
-    Whether b | X and a | x^2 - k is the same for every member of a class,
-    so a class whose least member fails is dead and is skipped unwalked.
-    Proof: with unit (x1, y1), x1^2 = 1 + a*b*y1^2, so x1^2 = 1 (mod ab).
-    The next member is X' = x1*X + a*b*y1*Y = x1*X (mod b), and x1 is
-    invertible mod b, so b | X' exactly when b | X.  Then x' = X'/b =
-    x1*x + a*y1*Y = x1*x (mod a), so x'^2 = x^2 (mod a).  Members of a
-    live class need no further check: b*m + k = Y^2 follows from the
-    reduced equation (PairReduction.recover_m).  A live class is walked in
-    the reduced coordinates (x, Y): with X = b*x the step X' = x1*X +
-    a*b*y1*Y, Y' = y1*X + x1*Y reads x' = x1*x + a*y1*Y, Y' = b*y1*x +
-    x1*Y, integral at every member, so no member is divided by b.
+    A class is live when its least member passes two divisibility tests:
+    b | X, and a | x^2 - k with x = X/b.  Both hold at every member of a
+    class or at none, so a class whose least member fails is dead and is
+    skipped unwalked.  Proof: with unit (x1, y1), x1^2 = 1 + a*b*y1^2, so
+    x1^2 = 1 (mod ab).  The next member is X' = x1*X + a*b*y1*Y = x1*X
+    (mod b), and x1 is invertible mod b, so b | X' exactly when b | X.
+    Then x' = X'/b = x1*x + a*y1*Y = x1*x (mod a), so x'^2 = x^2 (mod a).
+    The members of a live class need no third test: dividing the reduced
+    equation by b gives a*Y^2 = b*x^2 - k*(b-a) = a*(b*m + k), so
+    b*m + k = Y^2.  A live class is walked in the reduced coordinates
+    (x, Y): with X = b*x the step X' = x1*X + a*b*y1*Y, Y' = y1*X + x1*Y
+    reads x' = x1*x + a*y1*Y, Y' = b*y1*x + x1*Y, integral at every
+    member, so no member is divided by b.
 
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions; _class_points lists them as classes of one
@@ -172,38 +173,36 @@ def _live_classes(t: DiophTuple) -> list[tuple[int, int, int, int]]:
     # (x, Y, x1, y1): its least member in the reduced coordinates x = X/b
     # and Y, and the unit of D = a*b, which is (1, 0) when a*b is a square
     a, b, _ = t.elements
-    red = reduce_pair(a, b, t.k)
-    points, unit = _class_points(red.D, red.N)
-    return [(X // b, Y, *unit) for X, Y in points if red.recover_m(X, Y) is not None]
-
-
-def _pell_members(t: DiophTuple, max_index: int) -> Iterator[tuple[int, int, int]]:
-    # every member of pell_extension_search's walk with m > 0, as (m, x, Y)
-    # with x^2 = a*m + k and Y^2 = b*m + k, for a D(k) triple that is
-    # already verified; an m may come more than once (the unit (1, 0) of a
-    # square a*b repeats its point), and may be in t
-    a, b, _ = t.elements
     k = t.k
+    red = reduce_pair(a, b, k)
+    points, unit = _class_points(red.D, red.N)
+    live = []
+    for X, Y in points:
+        x, r = divmod(X, b)
+        if r == 0 and (x * x - k) % a == 0:
+            live.append((x, Y, *unit))
+    return live
+
+
+def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
+    # pell_extension_search's walk, for a D(k) triple that is already
+    # verified; each member with m > 0 has x^2 = a*m + k and Y^2 = b*m + k,
+    # and an m may come more than once (the unit (1, 0) of a square a*b
+    # repeats its point)
+    a, b, c = elements = t.elements
+    k = t.k
+    found: dict[int, ExtensionCandidate] = {}
+    self_hits = set()
     for x, Y, x1, y1 in _live_classes(t):
         ay1, by1 = a * y1, b * y1
         for _ in range(max_index + 1):
             m = (x * x - k) // a
             if m > 0:
-                yield m, x, Y
+                if m in elements:
+                    self_hits.add(m)
+                elif (rc := is_perfect_square(c * m + k)) is not None:
+                    found[m] = ExtensionCandidate(m, {a: abs(x), b: abs(Y), c: rc})
             x, Y = x1 * x + ay1 * Y, by1 * x + x1 * Y
-
-
-def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
-    # pell_extension_search's walk, for a D(k) triple that is already verified
-    a, b, c = elements = t.elements
-    k = t.k
-    found: dict[int, ExtensionCandidate] = {}
-    self_hits = set()
-    for m, x, Y in _pell_members(t, max_index):
-        if m in elements:
-            self_hits.add(m)
-        elif (rc := is_perfect_square(c * m + k)) is not None:
-            found[m] = ExtensionCandidate(m, {a: abs(x), b: abs(Y), c: rc})
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
 
@@ -216,7 +215,7 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     with rho(e) = 1: min(e, isqrt(e*max_m)) + isqrt(max_m // e), or max_m
     when e > max_m, ties going to the smaller element.  Ignoring rho(e) can
     cost one triple up to a factor rho(e): {1, 3, 8} with k = 1 at
-    max_m = 10^6 walks 8 (about 1422 values), not 1 (1001).  The other two
+    max_m = 10^6 walks 8 (1421 values), not 1 (1000).  The other two
     elements are checked with exact integer square tests.  Returns the m
     that extend t as candidates, ascending; an element of t that meets
     the a- and b-conditions (a < b the two smallest) is in self_hits.
@@ -339,19 +338,17 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     e1, e2, e3 = t.elements
     k = t.k
     square = _is_square_mod_power_of_2
-
-    def common(m: int, j: int) -> bool:
-        return square(e1 * m + k, j) and square(e2 * m + k, j) and square(e3 * m + k, j)
-
     top = max_modulus.bit_length() - 1  # 2^top is the largest power under the cap
     least = None  # least common residue mod the power below 2^j
     for j in range(1, top + 1):
-        M = 1 << j
-        m = next((m for m in range(least or 0, M) if common(m, j)), None)
-        if m is None:
-            return ModularCertificate(M, {e: _allowed_residues(e, k, j) for e in t.elements})
+        for m in range(least or 0, 1 << j):
+            if square(e1 * m + k, j) and square(e2 * m + k, j) and square(e3 * m + k, j):
+                break
+        else:
+            return ModularCertificate(1 << j, {e: _allowed_residues(e, k, j) for e in t.elements})
         # a carried m was tried mod the top power when it was first found
-        if m != least and common(m, top):
+        if (m != least and square(e1 * m + k, top) and square(e2 * m + k, top)
+                and square(e3 * m + k, top)):
             return None  # common up to the cap: no power of 2 can certify
         least = m
     return None

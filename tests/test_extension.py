@@ -23,7 +23,6 @@ from dioph.extension import (
     _allowed_residues,
     _is_square_mod_power_of_2,
     _live_classes,
-    _pell_members,
     _require_verified_triple,
     _search,
     brute_force_search,
@@ -91,20 +90,6 @@ def unit_step(D, unit, u, v, direction):
     return u * x1 + v * y1 * D, u * y1 + v * x1
 
 
-def member_ladder(t, max_index):
-    """The members of pell_extension_search's walk as (rungs, self_hits):
-    rungs maps each distinct m outside t, ascending, to its roots of
-    a*m + k and b*m + k; a repeated m has the same roots."""
-    rungs = {}
-    hits = set()
-    for m, x, Y in _pell_members(t, max_index):
-        if m in t.elements:
-            hits.add(m)
-        else:
-            assert rungs.setdefault(m, (abs(x), abs(Y))) == (abs(x), abs(Y)), (t, m)
-    return dict(sorted(rungs.items())), tuple(sorted(hits))
-
-
 def square_discriminant_points(D, N):
     """Every solution with x, y >= 0 of x^2 - D*y^2 = N for a square D = d^2,
     sorted by y, by enumerating the box 0 <= y <= |N| // d: |x - d*y| >= 1
@@ -115,12 +100,19 @@ def square_discriminant_points(D, N):
 
 
 def reference_ladder(t, max_index):
-    """member_ladder's form, from a walk of every Pell class, mirrors
-    included, max_index unit steps both ways from its stored representative."""
+    """The members of a walk of every Pell class, mirrors included, max_index
+    unit steps both ways from its stored representative, as (rungs,
+    self_hits): rungs maps each distinct m outside t, ascending, to its
+    roots of a*m + k and b*m + k; a repeated m has the same roots."""
     a, b, _ = t.elements
     red = reduce_pair(a, b, t.k)
-    if is_perfect_square(red.D) is not None:
-        solutions = square_discriminant_points(red.D, red.N)
+    if (d := is_perfect_square(red.D)) is not None:
+        # the box has |N| // d + 1 rows; past 10^6 the points come from
+        # _class_points, which test_pell holds equal to the box on small N
+        if abs(red.N) // d <= 10**6:
+            solutions = square_discriminant_points(red.D, red.N)
+        else:
+            solutions = _class_points(red.D, red.N)[0]
     else:
         solutions = []
         for cls in solve_general(PellProblem(red.D, red.N)):
@@ -141,15 +133,15 @@ def reference_ladder(t, max_index):
         if m in t.elements:
             hits.add(m)
         else:
-            rungs.setdefault(m, (X // b, Y))
+            assert rungs.setdefault(m, (X // b, Y)) == (X // b, Y), (t, m)
     return dict(sorted(rungs.items())), tuple(sorted(hits))
 
 
 def checked_ladder(t, max_index):
-    """t's member ladder, once pell_extension_search is checked to list
-    exactly its rungs with c*m + k a square, with the walk's roots, and
+    """t's reference ladder, once pell_extension_search is checked to list
+    exactly its rungs with c*m + k a square, with the ladder's roots, and
     its self-hits."""
-    rungs, hits = ladder = member_ladder(t, max_index)
+    rungs, hits = ladder = reference_ladder(t, max_index)
     a, b, c = t.elements
     extensions = tuple(
         ExtensionCandidate(m, {a: ra, b: rb, c: rc})
@@ -447,7 +439,7 @@ class TestPellExtensionSearch:
     def test_candidates_sorted_and_distinct(self):
         for t in [T_7_14_41, T_1_3_8, T_3_4_13, T_1_2_7]:
             candidates = pell_extension_search(t, 20).candidates
-            for ms in ([c.m for c in candidates], list(member_ladder(t, 20)[0])):
+            for ms in ([c.m for c in candidates], list(reference_ladder(t, 20)[0])):
                 assert ms == sorted(set(ms))
                 assert all(m >= 1 for m in ms)
 
@@ -672,6 +664,8 @@ class TestFindCertificate:
         # to 2^7 on triples that share an odd prime with k
         cases = K2_FIXTURES + [T_3_4_13, T_1_3_8, T_1_2_7, DiophTuple((1, 5, 65), -1)]
         cases = [(t, 512) for t in cases + small_dk_triples(4, 40)]
+        # caps whose first power is the top one (2, 3) or next to it (4, 5)
+        cases += [(t, cap) for t in small_dk_triples(4, 40) for cap in (2, 3, 4, 5)]
         shared = random.Random(23).sample(shared_prime_triples(60, 300), 40)
         cases += [(t, 128) for t, _ in shared]
         for t, cap in cases:
@@ -796,6 +790,19 @@ class TestFindCertificate:
         elapsed = time.perf_counter() - start
         assert cert is None
         assert elapsed < 0.5, f"scan took {elapsed:.2f}s"
+
+    def test_scan_stops_once_its_least_residue_is_common_mod_the_top_power(self, monkeypatch):
+        # {2, 6, 14}'s least common residue settles at 2^3 and is common mod
+        # 2^40 too, so the scan tests that power and no level between
+        levels = set()
+
+        def recording_square(x, j):
+            levels.add(j)
+            return _is_square_mod_power_of_2(x, j)
+
+        monkeypatch.setattr("dioph.extension._is_square_mod_power_of_2", recording_square)
+        assert find_certificate(DiophTuple((2, 6, 14), -3), 1 << 40) is None
+        assert levels == {1, 2, 3, 40}
 
     def test_certifies_without_factoring_k(self):
         # k = 2*G^2 with G = 10^12 + 39 a prime above the trial-division
