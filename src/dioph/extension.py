@@ -154,10 +154,33 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     Then x' = X'/b = x1*x + a*y1*Y = x1*x (mod a), so x'^2 = x^2 (mod a).
     The members of a live class need no third test: dividing the reduced
     equation by b gives a*Y^2 = b*x^2 - k*(b-a) = a*(b*m + k), so
-    b*m + k = Y^2.  A live class is walked in the reduced coordinates
-    (x, Y): with X = b*x the step X' = x1*X + a*b*y1*Y, Y' = y1*X + x1*Y
-    reads x' = x1*x + a*y1*Y, Y' = b*y1*x + x1*Y, integral at every
-    member, so no member is divided by b.
+    b*m + k = Y^2.
+
+    A live class is walked by the value the third condition tests,
+    w = c*m + k, which obeys a recurrence of its own.  In the reduced
+    coordinates (x, Y) the step X' = x1*X + a*b*y1*Y, Y' = y1*X + x1*Y
+    reads x' = x1*x + a*y1*Y, Y' = b*y1*x + x1*Y, that is
+    x'*sqrt(b) + Y'*sqrt(a) = (x*sqrt(b) + Y*sqrt(a))*L with the unit
+    L = x1 + y1*sqrt(a*b) of norm 1.  So the n-th member has
+    x_n = (u*L^n + v*L^-n)/(2*sqrt(b)) for numbers u, v fixed by the class,
+    and m_n = (x_n^2 - k)/a, hence w_n, is a fixed combination of L^(2n),
+    1 and L^(-2n).  Those are powers of the roots of
+    (z - 1)*(z^2 - (4*x1^2 - 2)*z + 1) = z^3 - q*z^2 + q*z - 1 with
+    q = 4*x1^2 - 1, since L^2 + L^-2 = (2*x1)^2 - 2, so
+    w_(n+1) = q*(w_n - w_(n-1)) + w_(n-2).  When a*b is a square the unit
+    is (1, 0), q = 3, and the recurrence keeps w constant, as the walk is.
+    The coefficients are integers, so three integral seeds make every
+    later w an exact integer.  The seeds are w at the least member and at
+    its two neighbours, x = x1*x + a*y1*Y and x = x1*x - a*y1*Y: the
+    backward step is the forward one with the unit (x1, -y1), and the
+    liveness proof above holds for it too, so both neighbours give an
+    integral m.  The backward neighbour only starts the recurrence; the
+    members walked are still the least one and the max_index after it.
+    m > 0 exactly when w > k, and w = c*e + k for an element e exactly when
+    m = e.  Only a w that is a square is turned back into
+    m = (w - k)/c; its roots for a and b are isqrt(a*m + k) and
+    isqrt(b*m + k), exact because a*m + k = x^2 and b*m + k = Y^2 at every
+    member of a live class.
 
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions; _class_points lists them as classes of one
@@ -186,23 +209,28 @@ def _live_classes(t: DiophTuple) -> list[tuple[int, int, int, int]]:
 
 def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
     # pell_extension_search's walk, for a D(k) triple that is already
-    # verified; each member with m > 0 has x^2 = a*m + k and Y^2 = b*m + k,
-    # and an m may come more than once (the unit (1, 0) of a square a*b
-    # repeats its point)
-    a, b, c = elements = t.elements
+    # verified; each class is walked by w = c*m + k through the recurrence
+    # of that function's docstring, seeded at its least member and the two
+    # members beside it.  m > 0 exactly when w > k; an m may come more than
+    # once (the unit (1, 0) of a square a*b repeats its point)
+    a, b, c = t.elements
     k = t.k
+    hits = {c * e + k: e for e in t.elements}
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
     for x, Y, x1, y1 in _live_classes(t):
-        ay1, by1 = a * y1, b * y1
+        xb, xf = x1 * x - a * y1 * Y, x1 * x + a * y1 * Y
+        w0 = c * ((xb * xb - k) // a) + k
+        w = c * ((x * x - k) // a) + k
+        w1 = c * ((xf * xf - k) // a) + k
+        q = 4 * x1 * x1 - 1
         for _ in range(max_index + 1):
-            m = (x * x - k) // a
-            if m > 0:
-                if m in elements:
-                    self_hits.add(m)
-                elif (rc := is_perfect_square(c * m + k)) is not None:
-                    found[m] = ExtensionCandidate(m, {a: abs(x), b: abs(Y), c: rc})
-            x, Y = x1 * x + ay1 * Y, by1 * x + x1 * Y
+            if w in hits:
+                self_hits.add(hits[w])
+            elif w > k and (rc := is_perfect_square(w)) is not None:
+                m = (w - k) // c
+                found[m] = ExtensionCandidate(m, {a: isqrt(a * m + k), b: isqrt(b * m + k), c: rc})
+            w0, w, w1 = w, w1, q * (w1 - w) + w0
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
 

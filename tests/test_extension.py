@@ -443,7 +443,7 @@ class TestPellExtensionSearch:
                 assert ms == sorted(set(ms))
                 assert all(m >= 1 for m in ms)
 
-    @pytest.mark.parametrize("index", [0, 1, 15, 30])
+    @pytest.mark.parametrize("index", [0, 1, 2, 15, 30])
     def test_matches_walk_over_every_class(self, index):
         cases = WALK_FIXTURES + small_dk_triples(6, 40)
         if index == 15:  # the census's depth, over the census's triples
