@@ -6,8 +6,9 @@ Two search strategies list the fourth elements m that extend a triple:
   generalized Pell equation and walks its solution classes, recovering m
   from each class member and testing the remaining condition.
 * ``brute_force_search`` steps over the square roots r of e*m + k for the
-  element e with the shortest such walk, up to a bound on m; it is the
-  oracle the Pell route is measured against.
+  element e with the shortest such walk, up to a bound on m, and tests
+  exactly only the points a wheel mod 16 keeps; it is the oracle the Pell
+  route is measured against.
 
 ``find_certificate`` looks for a modulus M at which the three allowed
 residue sets for m have empty intersection: a finite, machine-checkable
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Iterator
 
 from .arith import is_perfect_square
 from .pell import _class_points
-from .tuples import DiophTuple, reduce_pair, square_points
+from .tuples import DiophTuple, _root_residues, square_points
 
 __all__ = [
     "ExtensionCandidate",
@@ -43,6 +45,9 @@ __all__ = [
 VERDICT_EXTENDED = "extended"
 VERDICT_BOUNDED = "no_extension_below_bound"
 VERDICT_CERTIFIED = "certified_non_extendable"
+
+# brute_force_search's wheel: m mod 16 repeats every 16 steps of a root walk
+_WHEEL = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,17 +196,18 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     return _search(t, "pell_sequence", max_index)
 
 
-def _live_classes(t: DiophTuple) -> list[tuple[int, int, int, int]]:
-    # the live classes of pell_extension_search's reduction, each as
-    # (x, Y, x1, y1): its least member in the reduced coordinates x = X/b
-    # and Y, and the unit of D = a*b, which is (1, 0) when a*b is a square
-    a, b, _ = t.elements
-    k = t.k
-    red = reduce_pair(a, b, k)
-    points, unit = _class_points(red.D, red.N)
+def _live_classes(a: int, e: int, k: int) -> list[tuple[int, int, int, int]]:
+    # the live classes of the reduction of the pair a < e of a triple,
+    # X^2 - (a*e)*Y^2 = k*e*(e - a): those whose least member passes
+    # pell_extension_search's two tests with e for b, e | X and
+    # a | x^2 - k with x = X/e.  Each is (x, Y, x1, y1): that member in the
+    # reduced coordinates x and Y, and the unit of D = a*e, which is (1, 0)
+    # when a*e is a square.  The walk reads (a, b); (a, c) is the other
+    # reduction that shares a*m + k = x^2
+    points, unit = _class_points(a * e, k * e * (e - a))
     live = []
     for X, Y in points:
-        x, r = divmod(X, b)
+        x, r = divmod(X, e)
         if r == 0 and (x * x - k) % a == 0:
             live.append((x, Y, *unit))
     return live
@@ -218,7 +224,7 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
     hits = {c * e + k: e for e in t.elements}
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
-    for x, Y, x1, y1 in _live_classes(t):
+    for x, Y, x1, y1 in _live_classes(a, b, k):
         xb, xf = x1 * x - a * y1 * Y, x1 * x + a * y1 * Y
         w0 = c * ((xb * xb - k) // a) + k
         w = c * ((x * x - k) // a) + k
@@ -243,10 +249,30 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     with rho(e) = 1: min(e, isqrt(e*max_m)) + isqrt(max_m // e), or max_m
     when e > max_m, ties going to the smaller element.  Ignoring rho(e) can
     cost one triple up to a factor rho(e): {1, 3, 8} with k = 1 at
-    max_m = 10^6 walks 8 (1421 values), not 1 (1000).  The other two
-    elements are checked with exact integer square tests.  Returns the m
-    that extend t as candidates, ascending; an element of t that meets
-    the a- and b-conditions (a < b the two smallest) is in self_hits.
+    max_m = 10^6 walks 8 (1421 values), not 1 (1000).
+
+    The walk is sieved by a wheel mod 16, and only the points it keeps get
+    the exact square tests of the other two elements x and y.  On the walk
+    r = rho, rho + e, ... of one root rho of r^2 = k (mod e), the point
+    m = (r^2 - k)/e moves by ((r + 16*e)^2 - r^2)/e = 32*r + 256*e over 16
+    steps, a multiple of 16; so m mod 16, and with it x*m + k and y*m + k
+    mod 16, repeats every 16 steps.  For each rho the wheel reads the first
+    min(16, steps) points once and keeps those at which x*m + k and y*m + k
+    are both squares mod 16, that is 0, 1, 4 or 9; each kept point is then
+    walked in steps of 16*e.  This is sound because an integer square is a
+    square mod 16: a point the wheel drops makes x*m + k or y*m + k a
+    non-square, so it extends nothing.  At max_m = 10^6, {1, 3, 8} with
+    k = 1 reads 64 wheel points and tests 176 of the walk's 1413 points
+    exactly; {7, 14, 41} with k = 2 reads 32 and tests none of 312, since
+    no m makes 7*m + 2, 14*m + 2 and 41*m + 2 all squares mod 4.  When
+    e > max_m, square_points tests each m directly and every such point is
+    tested exactly.  The wheel cuts the exact tests, not the order of the
+    cost: where it keeps points, the time still grows as sqrt(max_m), and
+    {1, 3, 8} at max_m = 10^20 runs for about half an hour.
+
+    Returns the m that extend t as candidates, ascending; an element of t
+    that meets the a- and b-conditions (a < b the two smallest) is in
+    self_hits.
     """
     return _search(t, "brute_force", max_m)
 
@@ -259,7 +285,7 @@ def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
             else min(e, isqrt(e * max_m)) + isqrt(max_m // e))
     x, y = (f for f in elements if f != e)
     found = []
-    for m, r in square_points(e, k, max_m):
+    for m, r in _sieved_points(e, x, y, k, max_m):
         rx = is_perfect_square(x * m + k)
         if rx is None or m in elements:
             continue
@@ -272,6 +298,28 @@ def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
                  and is_perfect_square(a * h + k) is not None
                  and is_perfect_square(b * h + k) is not None)
     return SearchReport(t, "brute_force", max_m, tuple(found), hits)
+
+
+def _sieved_points(e: int, x: int, y: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
+    # the (m, r) of square_points(e, k, max_m) that brute_force_search's
+    # wheel keeps for the other elements x and y, in no set order: for each
+    # root rho, each of the first _WHEEL points with x*m + k and y*m + k
+    # squares mod _WHEEL is walked in steps of _WHEEL*e; when e > max_m,
+    # every point of square_points
+    if e > max_m:
+        yield from square_points(e, k, max_m)
+        return
+    rmax, rhos = _root_residues(e, k, max_m)
+    squares = {r * r % _WHEEL for r in range(_WHEEL)}
+    period = _WHEEL * e
+    for rho in rhos:
+        for r0 in range(rho, min(rho + period, rmax + 1), e):
+            m = (r0 * r0 - k) // e
+            if (x * m + k) % _WHEEL in squares and (y * m + k) % _WHEEL in squares:
+                for r in range(r0, rmax + 1, period):
+                    m = (r * r - k) // e
+                    if m >= 1:
+                        yield m, r
 
 
 # each strategy's walk, the name of its bound, and the least bound it takes

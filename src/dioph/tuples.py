@@ -142,14 +142,21 @@ def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
             if r is not None:
                 yield m, r
         return
+    rmax, rhos = _root_residues(a, k, max_m)
+    for rho in rhos:
+        for r in range(rho, rmax + 1, a):
+            m = (r * r - k) // a
+            if m >= 1:
+                yield m, r
+
+
+def _root_residues(a: int, k: int, max_m: int) -> tuple[int, list[int]]:
+    # the start of square_points' walk for a <= max_m: rmax, the largest r
+    # with r^2 <= a*max_m + k (-1 when that is negative), and each rho in
+    # [0, min(a, rmax + 1)) with rho^2 = k (mod a), ascending
     top = a * max_m + k
     rmax = isqrt(top) if top >= 0 else -1
-    for rho in range(min(a, rmax + 1)):
-        if (rho * rho - k) % a == 0:
-            for r in range(rho, rmax + 1, a):
-                m = (r * r - k) // a
-                if m >= 1:
-                    yield m, r
+    return rmax, [rho for rho in range(min(a, rmax + 1)) if (rho * rho - k) % a == 0]
 
 
 def is_regular(t: DiophTuple) -> bool:

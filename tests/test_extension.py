@@ -25,6 +25,7 @@ from dioph.extension import (
     _live_classes,
     _require_verified_triple,
     _search,
+    _sieved_points,
     brute_force_search,
     find_certificate,
     pell_extension_search,
@@ -283,6 +284,35 @@ def reference_brute_force(t, max_m):
     return SearchReport(t, "brute_force", max_m, tuple(found), tuple(hits))
 
 
+# (triple, walked element e): for e = 1, 2, 8 and 41, triples whose walk
+# runs on e at wheel_cases' bounds; k < 0 with e | k puts a point at r = 0,
+# and 1680 lies past every bound of {1, 120, 1680}
+WHEEL_TRIPLES = [
+    (DiophTuple((1, 21, 85), -21), 1),
+    (DiophTuple((1, 120, 1680), 1), 1),
+    (DiophTuple((2, 42, 170), -84), 2),
+    (DiophTuple((8, 64, 180), -71), 8),
+    (DiophTuple((8, 13, 37), -40), 8),
+    (DiophTuple((1, 41, 161), -40), 41),
+    (DiophTuple((41, 42, 165), -41), 41),
+]
+
+
+def wheel_cases():
+    """(t, e, max_m) for each of WHEEL_TRIPLES, each root rho of
+    r^2 = k (mod e) and each max_m that puts the top root isqrt(e*max_m + k)
+    at rho + 16*e - 1, rho + 16*e and rho + 16*e + 1: just before the walk's
+    second pass over its first 16 points, at its first point and past it."""
+    cases = []
+    for t, e in WHEEL_TRIPLES:
+        for rho in (r for r in range(e) if (r * r - t.k) % e == 0):
+            for top in range(rho + 16 * e - 1, rho + 16 * e + 2):
+                max_m = -(-(top * top - t.k) // e)  # the least with isqrt(e*max_m + k) >= top
+                assert isqrt(e * max_m + t.k) == top
+                cases.append((t, e, max_m))
+    return cases
+
+
 def reference_smallest_element_walk(t, max_m):
     """Walk the square roots of a*m + k for the smallest element a, as
     brute_force_search once did whatever the cost of that walk."""
@@ -308,11 +338,11 @@ def walked(monkeypatch):
     """The element of each square_points walk that dioph.extension starts."""
     elements = []
 
-    def recording_square_points(a, k, max_m):
+    def recording_square_points(a, *args):
         elements.append(a)
-        return square_points(a, k, max_m)
+        return _sieved_points(a, *args)
 
-    monkeypatch.setattr("dioph.extension.square_points", recording_square_points)
+    monkeypatch.setattr("dioph.extension._sieved_points", recording_square_points)
     return elements
 
 
@@ -364,7 +394,7 @@ class TestPellExtensionSearch:
                           for c in solve_general(PellProblem(red.D, red.N))]
             live = [(X // b, Y, x1, y1) for X, Y, x1, y1 in points
                     if red.recover_m(X, Y) is not None]
-            assert _live_classes(t) == live, t
+            assert _live_classes(a, b, t.k) == live, t
             kinds["live"] += len(live)
             kinds["dead"] += len(points) - len(live)
             kinds["finite"] += sum(y1 == 0 for *_, y1 in live)
@@ -559,6 +589,7 @@ class TestBruteForceSearch:
             (T_1_3_8, 5),  # c > max_m
             (DiophTuple((1, 3, 120), 1), 100),  # c > max_m, and walks b
         ]
+        cases += [(t, max_m) for t, _, max_m in wheel_cases()]
         cases += [
             (t, max_m) for t in small_dk_triples(11, 40) for max_m in (1, 7, 300, 20000)
         ]
@@ -571,6 +602,28 @@ class TestBruteForceSearch:
             assert report == reference_brute_force(t, max_m), (t, max_m)
             assert repr(report) == repr(reference_smallest_element_walk(t, max_m)), (t, max_m)
             assert_roots_hold(report)
+
+    def test_wheel_keeps_the_points_square_mod_16(self, walked):
+        # the points tested exactly are those of the walk at which both
+        # other elements give a square mod 16; e > max_m keeps them all
+        squares = {0, 1, 4, 9}
+        counts = {}
+        cases = wheel_cases() + [(T_1_3_8, 8, 10**6), (T_7_14_41, 41, 10**6), (T_1_3_8, 3, 1)]
+        for t, e, max_m in cases:
+            walked.clear()
+            brute_force_search(t, max_m)
+            assert walked == [e], (t, max_m)
+            k = t.k
+            x, y = (f for f in t.elements if f != e)
+            points = list(square_points(e, k, max_m))
+            kept = sorted((m, r) for m, r in points if max_m < e
+                          or (x * m + k) % 16 in squares and (y * m + k) % 16 in squares)
+            assert sorted(_sieved_points(e, x, y, k, max_m)) == kept, (t, max_m)
+            counts[t.elements, max_m] = (len(points), len(kept))
+        # brute_force_search's docstring quotes these
+        assert counts[(1, 3, 8), 10**6] == (1413, 176)
+        assert counts[(7, 14, 41), 10**6] == (312, 0)
+        assert counts[(1, 3, 8), 1] == (1, 1)
 
     def test_matches_smallest_element_walk_on_default_census(self, walked):
         triples = census_triples()
@@ -615,6 +668,48 @@ class TestBruteForceSearch:
             brute_force_search(T_1_3_8, 0)
         with pytest.raises(ValueError):
             brute_force_search(DiophTuple((7, 14, 40), 2), 100)
+
+
+def pair_walk_points(a, e, k, max_m):
+    """Every m in [1, max_m] with a*m + k and e*m + k squares, read off the
+    live classes of the reduction of the pair a < e: each class is walked
+    from its least member while |Y| <= isqrt(e*max_m + k), as e*m + k = Y^2.
+    The mirror of a class, also listed, covers its negative indices."""
+    top = isqrt(e * max_m + k)
+    points = set()
+    for x, Y, x1, y1 in _live_classes(a, e, k):
+        while abs(Y) <= top:
+            m = (x * x - k) // a
+            if m >= 1:
+                points.add(m)
+            if y1 == 0:  # the unit (1, 0) of a square a*e keeps the walk in place
+                break
+            x, Y = x1 * x + a * y1 * Y, e * y1 * x + x1 * Y
+    return points
+
+
+def two_walk_extensions(t, max_m):
+    """The m <= max_m outside t common to the (a, b) and (a, c) walks."""
+    a, b, c = t.elements
+    return sorted((pair_walk_points(a, b, t.k, max_m)
+                   & pair_walk_points(a, c, t.k, max_m)) - set(t.elements))
+
+
+class TestTwoWalksMeet:
+    # a third strategy beside the Pell walk and brute force: an extension is
+    # an m that both the (a, b) and the (a, c) reductions reach
+    @pytest.mark.parametrize("name", ["census", "pool"])
+    def test_common_points_are_the_extensions(self, name):
+        triples = {"census": census_triples, "pool": benchmark_pool}[name]()
+        assert len(triples) == {"census": 618, "pool": 2033}[name]
+        extended = 0
+        for t in triples:
+            brute = [c.m for c in brute_force_search(t, 10**6).candidates]
+            assert two_walk_extensions(t, 10**6) == brute, t
+            pell = [c.m for c in pell_extension_search(t, 30).candidates if c.m <= 10**15]
+            assert two_walk_extensions(t, 10**15) == pell, t
+            extended += bool(pell)
+        assert extended == {"census": 249, "pool": 637}[name]
 
 
 class TestFindCertificate:
