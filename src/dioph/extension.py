@@ -397,12 +397,25 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     The powers 2, 4, 8, ... up to max_modulus are scanned upwards, and the
     first that certifies is returned with its allowed residues listed.  A
     square mod 2^i stays a square mod every 2^j with j <= i, so a residue
-    common mod 2^i is common mod every smaller power of 2.  Two things
-    follow.  The scan of 2^(j+1) starts at the least residue common mod 2^j,
-    since a residue below it is below 2^j and so is not common mod 2^(j+1)
-    either.  And once the least common residue mod 2^j is also common mod
-    the largest power 2^J under the cap, it is common mod every 2^i between,
-    so no modulus under the cap can certify and the scan stops.
+    common mod 2^i is common mod every smaller power of 2.  So the scan of
+    2^(j+1) starts at the least residue common mod 2^j, since a residue
+    below it is below 2^j and so is not common mod 2^(j+1) either.
+
+    The scan stops at the decision, not at the cap.  A nonzero x = 2^v*u is
+    a square in Z_2 exactly when v is even and u = 1 (mod 8), that is when
+    it is a square mod 2^(v+3); since v + 1 <= x.bit_length(), the
+    criterion mod 2^(x.bit_length() + 2) decides it, and it reads 0 as a
+    square too.  If after some level every e*m + k at the least common
+    residue m is 0 or a square in Z_2, then m is common mod every power of
+    2, so no modulus of any size can certify and the scan returns None.
+    When no power certifies, some m in Z_2 is common mod every 2^j.  If one
+    such m makes every e*m + k nonzero, or is a nonnegative integer, the
+    least common residues, which never decrease, settle on an integer point
+    and the stop fires.  Otherwise every common m is a root -k/e that is no
+    nonnegative integer, and only the cap ends the scan; no triple with
+    elements <= 150 and |k| <= 30 is such a case.  So max_modulus is the
+    last level scanned and the largest certificate reported, and the stop
+    never reads it.
     """
     _require_bound("max_modulus", max_modulus, 2)
     _require_verified_triple(t)
@@ -414,20 +427,18 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     e1, e2, e3 = t.elements
     k = t.k
     square = _is_square_mod_power_of_2
-    top = max_modulus.bit_length() - 1  # 2^top is the largest power under the cap
-    least = None  # least common residue mod the power below 2^j
-    for j in range(1, top + 1):
-        for m in range(least or 0, 1 << j):
+    m = 0  # least common residue mod the power below 2^j
+    for j in range(1, max_modulus.bit_length()):
+        for m in range(m, 1 << j):
             if square(e1 * m + k, j) and square(e2 * m + k, j) and square(e3 * m + k, j):
                 break
         else:
             return ModularCertificate(1 << j, {e: _allowed_residues(e, k, j) for e in t.elements})
-        # a carried m was tried mod the top power when it was first found
-        if (m != least and square(e1 * m + k, top) and square(e2 * m + k, top)
-                and square(e3 * m + k, top)):
-            return None  # common up to the cap: no power of 2 can certify
-        least = m
-    return None
+        x1, x2, x3 = e1 * m + k, e2 * m + k, e3 * m + k
+        if (square(x1, x1.bit_length() + 2) and square(x2, x2.bit_length() + 2)
+                and square(x3, x3.bit_length() + 2)):
+            return None  # m is a 2-adic point: no power of 2 can certify
+    return None  # the cap is reached
 
 
 def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
@@ -448,7 +459,8 @@ def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
 def _is_square_mod_power_of_2(x: int, j: int) -> bool:
     # the 2-adic criterion of find_certificate's docstring; cut to j bits,
     # the odd part u is below 2^(j-v), so u = 1 (mod 2^min(j-v, 3)) reads
-    # u = 1 (mod 8)
+    # u = 1 (mod 8).  At j = x.bit_length() + 2 it reads whether x is 0 or
+    # a square in Z_2, the scan's stop
     x &= (1 << j) - 1
     if x == 0:
         return True

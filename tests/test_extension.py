@@ -887,8 +887,9 @@ class TestFindCertificate:
         assert elapsed < 0.5, f"scan took {elapsed:.2f}s"
 
     def test_scan_stops_once_its_least_residue_is_common_mod_the_top_power(self, monkeypatch):
-        # {2, 6, 14}'s least common residue settles at 2^3 and is common mod
-        # 2^40 too, so the scan tests that power and no level between
+        # the stop reads no cap: {2, 6, 14}'s least common residue 2 gives 1,
+        # 9 and 25, and {1, 3, 8}'s residue 0 gives 1, 1 and 1, all squares
+        # in Z_2, so each scan tests the same levels at caps 2^40 and 2^400
         levels = set()
 
         def recording_square(x, j):
@@ -896,8 +897,35 @@ class TestFindCertificate:
             return _is_square_mod_power_of_2(x, j)
 
         monkeypatch.setattr("dioph.extension._is_square_mod_power_of_2", recording_square)
-        assert find_certificate(DiophTuple((2, 6, 14), -3), 1 << 40) is None
-        assert levels == {1, 2, 3, 40}
+        for t in (DiophTuple((2, 6, 14), -3), T_1_3_8):
+            seen = []
+            for cap in (1 << 40, 1 << 400):
+                levels.clear()
+                assert find_certificate(t, cap) is None
+                seen.append(set(levels))
+            assert seen[0] == seen[1], t
+            assert max(seen[0]) < 40, (t, seen[0])
+
+    def test_square_test_past_the_bit_length_decides_2_adic_squares(self):
+        # the scan's stop: a nonzero x is a square in Z_2 exactly when it is
+        # one mod 2^(v_2(x) + 3), and v_2(x) + 1 <= x.bit_length(), so the
+        # test mod 2^(x.bit_length() + 2) agrees with enumeration mod a far
+        # larger power, at zero and at negative x too
+        squares = {}
+        for x in range(-(1 << 9), (1 << 9) + 1):
+            J = x.bit_length() + 10
+            if J not in squares:
+                squares[J] = {r * r % (1 << J) for r in range(1 << (J - 1))}
+            expected = x % (1 << J) in squares[J]
+            assert _is_square_mod_power_of_2(x, x.bit_length() + 2) == expected, x
+
+    def test_no_wide_census_certificate_lies_above_2_to_the_9(self):
+        # every wide-census triple (elements <= 150, |k| <= 30) is decided
+        # below 2^10: a cap of 2^64 gives the certificate of cap 512, or None
+        triples = [DiophTuple(e, k) for k in range(-30, 31) if k for e in enumerate_triples(150, k)]
+        assert len(triples) == 3764
+        for t in triples:
+            assert find_certificate(t, 1 << 64) == find_certificate(t, 512), t
 
     def test_certifies_without_factoring_k(self):
         # k = 2*G^2 with G = 10^12 + 39 a prime above the trial-division
