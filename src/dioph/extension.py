@@ -382,11 +382,16 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
        case 3, and its m' gives m = p^a*m'.
 
     Squareness mod 2^j is decided without a table: write x = 2^v*u with u
-    odd; x is a square mod 2^j exactly when x = 0 mod 2^j, or v is even and
-    u = 1 mod 2^min(j-v, 3).  A modulus that does not certify stops at the
-    first residue m allowed by all three elements.  Only a certifying
-    modulus lists the allowed residues, and it lists them without testing
-    each m: by the criterion, e*m + k is a square mod 2^j exactly when
+    odd; x is a square mod 2^j exactly when j <= v, or v is even and
+    u = 1 mod 2^min(j-v, 3).  The scan reads this once per value as a
+    number, the square depth of x: with top the last level under the cap,
+    the largest j <= top at which x is a square mod 2^j.  Cut to top bits,
+    x = 0 has depth top; otherwise an odd v gives v, and an even v gives
+    top when u = 1 (mod 8), v + 2 when u = 5 (mod 8) and v + 1 when u is
+    3 or 7 (mod 8).  A modulus that does not certify stops at the first
+    residue m allowed by all three elements.  Only a certifying modulus
+    lists the allowed residues, and it lists them without testing each m:
+    by the criterion, e*m + k is a square mod 2^j exactly when
     e*m + k = 0 (mod 2^j) or e*m + k = 2^v (mod 2^(v + min(j-v, 3))) for
     an even v < j.  A linear congruence e*m + k = r (mod 2^i) holds on one
     residue class of m modulo 2^i/gcd(e, 2^i), or on none, so each element
@@ -396,26 +401,38 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
 
     The powers 2, 4, 8, ... up to max_modulus are scanned upwards, and the
     first that certifies is returned with its allowed residues listed.  A
-    square mod 2^i stays a square mod every 2^j with j <= i, so a residue
+    square mod 2^i stays a square mod every 2^j with j <= i, so x is a
+    square mod 2^j exactly when its depth is at least j, and a residue
     common mod 2^i is common mod every smaller power of 2.  So the scan of
     2^(j+1) starts at the least residue common mod 2^j, since a residue
-    below it is below 2^j and so is not common mod 2^(j+1) either.
+    below it is below 2^j and so is not common mod 2^(j+1) either.  And
+    once the scan finds its least common residue m, m stays common up to
+    the smallest depth d of its three values and fails at d + 1, so the
+    scan goes straight to level d + 1 and resumes at m + 1: every level it
+    skips would have found the same m on its first test.  When every depth
+    is top, the scan passes the cap and returns None, its one exit without
+    a certificate.
 
-    The scan stops at the decision, not at the cap.  A nonzero x = 2^v*u is
-    a square in Z_2 exactly when v is even and u = 1 (mod 8), that is when
-    it is a square mod 2^(v+3); since v + 1 <= x.bit_length(), the
-    criterion mod 2^(x.bit_length() + 2) decides it, and it reads 0 as a
-    square too.  If after some level every e*m + k at the least common
-    residue m is 0 or a square in Z_2, then m is common mod every power of
-    2, so no modulus of any size can certify and the scan returns None.
-    When no power certifies, some m in Z_2 is common mod every 2^j.  If one
-    such m makes every e*m + k nonzero, or is a nonnegative integer, the
-    least common residues, which never decrease, settle on an integer point
-    and the stop fires.  Otherwise every common m is a root -k/e that is no
-    nonnegative integer, and only the cap ends the scan; no triple with
-    elements <= 150 and |k| <= 30 is such a case.  So max_modulus is the
-    last level scanned and the largest certificate reported, and the stop
-    never reads it.
+    The scan decides the 2-adic question: it returns None at a cap only
+    when no power of 2 up to the cap certifies.  Suppose no power of 2
+    certifies at all.  The residues common mod 2^j, for j = 1, 2, ..., form
+    nonempty finite sets, each reducing into the one before, so by
+    compactness some m in Z_2 is common mod every 2^j.  At most one e*m + k
+    is 0, since the elements are distinct.  If e*m + k = 0, take
+    m' = m + e*s^2 with s != 0 in Z_2: then e*m' + k = (e*s)^2, and each
+    other value moves by e*e'*s^2, which leaves that nonzero square a square
+    once v_2(s) is large enough.  So some common m has all three values
+    nonzero.  With V
+    the largest 2-adic valuation of the three, every m'' = m
+    (mod 2^(V+3)) keeps each value's valuation and its odd part mod 8, so
+    it is common too, and so is the least nonnegative integer n in that
+    class.  The least common residues never decrease and stay at or below
+    n, so they settle on an integer m0 common mod every power of 2; no
+    smaller nonnegative integer is, since it would have been found first.
+    Every value at m0 is then 0 or a square in Z_2, so its three depths are
+    top, and a cap ends the scan undecided only by being too small: the
+    scan stops at the least nonnegative integer m at which every e*m + k is
+    0 or a square in Z_2.
     """
     _require_bound("max_modulus", max_modulus, 2)
     _require_verified_triple(t)
@@ -424,21 +441,20 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
 
 def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     # find_certificate's scan, for a D(k) triple that is already verified
-    e1, e2, e3 = t.elements
-    k = t.k
-    square = _is_square_mod_power_of_2
-    m = 0  # least common residue mod the power below 2^j
-    for j in range(1, max_modulus.bit_length()):
-        for m in range(m, 1 << j):
-            if square(e1 * m + k, j) and square(e2 * m + k, j) and square(e3 * m + k, j):
+    (e1, e2, e3), k = t.elements, t.k
+    top = max_modulus.bit_length() - 1  # the last level under the cap
+    depth = _square_depth
+    m = 0  # the least residue common mod 2^(j-1); it fails at level j
+    j = depth(k, top) + 1
+    while j <= top:
+        for m in range(m + 1, 1 << j):
+            if ((d1 := depth(e1 * m + k, top)) >= j and (d2 := depth(e2 * m + k, top)) >= j
+                    and (d3 := depth(e3 * m + k, top)) >= j):
                 break
         else:
             return ModularCertificate(1 << j, {e: _allowed_residues(e, k, j) for e in t.elements})
-        x1, x2, x3 = e1 * m + k, e2 * m + k, e3 * m + k
-        if (square(x1, x1.bit_length() + 2) and square(x2, x2.bit_length() + 2)
-                and square(x3, x3.bit_length() + 2)):
-            return None  # m is a 2-adic point: no power of 2 can certify
-    return None  # the cap is reached
+        j = min(d1, d2, d3) + 1  # the first level at which m fails
+    return None
 
 
 def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
@@ -456,16 +472,16 @@ def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
     return frozenset().union(*progressions)
 
 
-def _is_square_mod_power_of_2(x: int, j: int) -> bool:
-    # the 2-adic criterion of find_certificate's docstring; cut to j bits,
-    # the odd part u is below 2^(j-v), so u = 1 (mod 2^min(j-v, 3)) reads
-    # u = 1 (mod 8).  At j = x.bit_length() + 2 it reads whether x is 0 or
-    # a square in Z_2, the scan's stop
-    x &= (1 << j) - 1
+def _square_depth(x: int, top: int) -> int:
+    # the largest j <= top at which x is a square mod 2^j: find_certificate's
+    # criterion on x cut to top bits, whose odd part u is below 2^(top-v), so
+    # that u = 1 (mod 2^min(top-v, 3)) reads u = 1 (mod 8)
+    x &= (1 << top) - 1
     if x == 0:
-        return True
+        return top
     v = (x & -x).bit_length() - 1
-    return not v & 1 and (x >> v) & 7 == 1
+    u = (x >> v) & 7
+    return v if v & 1 else top if u == 1 else v + 2 if u == 5 else v + 1
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

@@ -21,11 +21,11 @@ from dioph.extension import (
     ModularCertificate,
     SearchReport,
     _allowed_residues,
-    _is_square_mod_power_of_2,
     _live_classes,
     _require_verified_triple,
     _search,
     _sieved_points,
+    _square_depth,
     brute_force_search,
     find_certificate,
     pell_extension_search,
@@ -180,6 +180,35 @@ def small_dk_triples(seed, count):
 def census_triples() -> tuple[DiophTuple, ...]:
     """The 618 triples of the default census: elements <= 150, k in [-5, 5]."""
     return tuple(DiophTuple(e, k) for k in range(-5, 6) if k for e in enumerate_triples(150, k))
+
+
+@cache
+def wide_census_triples() -> tuple[DiophTuple, ...]:
+    """The 3764 triples of the wide census: elements <= 150, k in [-30, 30]."""
+    return tuple(DiophTuple(e, k) for k in range(-30, 31) if k for e in enumerate_triples(150, k))
+
+
+def is_2_adic_square_or_zero(x):
+    """x is 0 or a square in Z_2: its 2-valuation is even and its odd part is 1 mod 8."""
+    if x == 0:
+        return True
+    v = 0
+    while x % 2 == 0:
+        x //= 2
+        v += 1
+    return v % 2 == 0 and x % 8 == 1
+
+
+def has_common_root_off_the_integers(t):
+    """Some root -k/e is in Z_2, is no nonnegative integer, and makes the
+    other two values, k*(e - f)/e, squares in Z_2."""
+    k = t.k
+    for e in t.elements:
+        if (k & -k) % (e & -e) or k % e == 0 and -k // e >= 0:
+            continue  # v_2(e) > v_2(k), or -k/e is a nonnegative integer
+        if all(is_2_adic_square_or_zero(k * (e - f) * e) for f in t.elements if f != e):
+            return True
+    return False
 
 
 @cache
@@ -770,19 +799,21 @@ class TestFindCertificate:
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
     def test_square_test_matches_enumeration(self):
-        for j in range(1, 13):
-            q = 1 << j
-            squares = {r * r % q for r in range(q)}
-            for x in range(-q, 2 * q):
-                assert _is_square_mod_power_of_2(x, j) == (x % q in squares), (x, q)
+        # the depth is the largest j <= top with x a square mod 2^j, against
+        # the squares mod each 2^j enumerated
+        squares = {j: {r * r % (1 << j) for r in range(1 << j)} for j in range(1, 13)}
+        for top in range(1, 13):
+            for x in range(-(1 << top), 1 << (top + 1)):
+                expected = max(j for j in range(1, top + 1) if x % (1 << j) in squares[j])
+                assert _square_depth(x, top) == expected, (x, top)
 
     def test_listing_matches_enumeration(self):
-        # the certifying branch's progressions against the 2-adic square
-        # test at every m: every e and k mod 2^j for j <= 8, then seeded
-        # random e and k, 2-heavy ones included, up to 2^14
+        # the certifying branch's progressions against the enumerated
+        # squares mod 2^j at every m: every e and k mod 2^j for j <= 8, then
+        # seeded random e and k, 2-heavy ones included, up to 2^14
         for j in range(1, 9):
             M = 1 << j
-            squares = [x for x in range(M) if _is_square_mod_power_of_2(x, j)]
+            squares = {r * r % M for r in range(M)}
             for e in range(M):
                 by_product = [[] for _ in range(M)]  # the m with e*m = x (mod M), per x
                 for m in range(M):
@@ -793,10 +824,11 @@ class TestFindCertificate:
         rng = random.Random(31)
         for j in range(9, 15):
             M = 1 << j
+            squares = {r * r % M for r in range(M)}
             for _ in range(24):
                 e = rng.randrange(1, 1 << 20) << rng.randrange(16)
                 k = rng.choice([-1, 1]) * (rng.randrange(1, 1 << 20) << rng.randrange(16))
-                expected = frozenset(m for m in range(M) if _is_square_mod_power_of_2(e * m + k, j))
+                expected = frozenset(m for m in range(M) if (e * m + k) % M in squares)
                 assert _allowed_residues(e, k, j) == expected, (e, k, j)
 
     def test_proof_gives_a_p_adic_witness_at_every_odd_prime(self):
@@ -886,46 +918,79 @@ class TestFindCertificate:
         assert cert is None
         assert elapsed < 0.5, f"scan took {elapsed:.2f}s"
 
-    def test_scan_stops_once_its_least_residue_is_common_mod_the_top_power(self, monkeypatch):
+    @pytest.fixture
+    def depth_values(self, monkeypatch):
+        # the values whose square depth the scan reads, in order
+        values = []
+
+        def recording_depth(x, top):
+            values.append(x)
+            return _square_depth(x, top)
+
+        monkeypatch.setattr("dioph.extension._square_depth", recording_depth)
+        return values
+
+    def test_scan_stops_once_its_least_residue_is_common_mod_the_top_power(self, depth_values):
         # the stop reads no cap: {2, 6, 14}'s least common residue 2 gives 1,
-        # 9 and 25, and {1, 3, 8}'s residue 0 gives 1, 1 and 1, all squares
-        # in Z_2, so each scan tests the same levels at caps 2^40 and 2^400
-        levels = set()
-
-        def recording_square(x, j):
-            levels.add(j)
-            return _is_square_mod_power_of_2(x, j)
-
-        monkeypatch.setattr("dioph.extension._is_square_mod_power_of_2", recording_square)
-        for t in (DiophTuple((2, 6, 14), -3), T_1_3_8):
+        # 9 and 25, {1, 3, 8}'s residue 0 gives 1, 1 and 1, and {7, 8, 31}'s
+        # residue 7 gives 57, 64 and 225, all squares in Z_2, so each scan
+        # reads the same 5, 1 and 11 values at caps 2^40 and 2^400
+        cases = [(DiophTuple((2, 6, 14), -3), 5), (T_1_3_8, 1), (DiophTuple((7, 8, 31), 8), 11)]
+        for t, count in cases:
             seen = []
             for cap in (1 << 40, 1 << 400):
-                levels.clear()
+                depth_values.clear()
                 assert find_certificate(t, cap) is None
-                seen.append(set(levels))
+                seen.append(list(depth_values))
             assert seen[0] == seen[1], t
-            assert max(seen[0]) < 40, (t, seen[0])
+            assert len(seen[0]) == count, (t, seen[0])
 
     def test_square_test_past_the_bit_length_decides_2_adic_squares(self):
-        # the scan's stop: a nonzero x is a square in Z_2 exactly when it is
-        # one mod 2^(v_2(x) + 3), and v_2(x) + 1 <= x.bit_length(), so the
-        # test mod 2^(x.bit_length() + 2) agrees with enumeration mod a far
-        # larger power, at zero and at negative x too
+        # a nonzero x is a square in Z_2 exactly when it is one mod
+        # 2^(v_2(x) + 3), and v_2(x) + 1 <= x.bit_length(), so from
+        # top = x.bit_length() + 2 on the depth is top exactly when x is 0
+        # or a square in Z_2; checked against enumeration mod a far larger
+        # power, at zero and at negative x too
         squares = {}
         for x in range(-(1 << 9), (1 << 9) + 1):
             J = x.bit_length() + 10
             if J not in squares:
                 squares[J] = {r * r % (1 << J) for r in range(1 << (J - 1))}
             expected = x % (1 << J) in squares[J]
-            assert _is_square_mod_power_of_2(x, x.bit_length() + 2) == expected, x
+            for top in range(x.bit_length() + 2, J + 1):
+                assert (_square_depth(x, top) == top) == expected, (x, top)
 
     def test_no_wide_census_certificate_lies_above_2_to_the_9(self):
         # every wide-census triple (elements <= 150, |k| <= 30) is decided
         # below 2^10: a cap of 2^64 gives the certificate of cap 512, or None
-        triples = [DiophTuple(e, k) for k in range(-30, 31) if k for e in enumerate_triples(150, k)]
+        triples = wide_census_triples()
         assert len(triples) == 3764
         for t in triples:
             assert find_certificate(t, 1 << 64) == find_certificate(t, 512), t
+
+    def test_scan_stops_at_the_least_2_adic_point(self, depth_values):
+        # find_certificate's decision on the wide census: each scan without
+        # a certificate at cap 2^64 reads its last depths at the least
+        # m >= 0 with every e*m + k 0 or a square in Z_2, found here by a
+        # plain walk; 349 of these triples also have a common 2-adic point
+        # -k/e that is no nonnegative integer, and stop at an integer all
+        # the same
+        stops = []
+        at_roots = 0
+        for t in wide_census_triples():
+            depth_values.clear()
+            if find_certificate(t, 1 << 64) is not None:
+                continue
+            m = 0
+            while not all(is_2_adic_square_or_zero(e * m + t.k) for e in t.elements):
+                m += 1
+            # at m = 0 every value is k, read once
+            last = [t.k] if m == 0 else [e * m + t.k for e in t.elements]
+            assert depth_values[-len(last):] == last, (t, m)
+            stops.append(m)
+            at_roots += has_common_root_off_the_integers(t)
+        assert max(stops) == 1822
+        assert at_roots == 349
 
     def test_certifies_without_factoring_k(self):
         # k = 2*G^2 with G = 10^12 + 39 a prime above the trial-division
