@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .arith import is_perfect_square
 from .pell import _class_points
-from .tuples import DiophTuple, _root_residues, square_points
+from .tuples import DiophTuple, _root_residues
 
 __all__ = [
     "ExtensionCandidate",
@@ -246,10 +246,10 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
 
     Only the m with e*m + k a square are visited, e the element whose
     dioph.tuples.square_points walk costs least by that function's estimate
-    with rho(e) = 1: min(e, isqrt(e*max_m)) + isqrt(max_m // e), or max_m
-    when e > max_m, ties going to the smaller element.  Ignoring rho(e) can
-    cost one triple up to a factor rho(e): {1, 3, 8} with k = 1 at
-    max_m = 10^6 walks 8 (1421 values), not 1 (1000).
+    with rho(e) = 1: min(e, max_m) + isqrt(max_m // e), ties going to the
+    smaller element.  Ignoring rho(e) can cost one triple up to a factor
+    rho(e): {1, 3, 8} with k = 1 at max_m = 10^6 walks 8 (1421 values), not
+    1 (1000).
 
     The walk is sieved by a wheel mod 16, and only the points it keeps get
     the exact square tests of the other two elements x and y.  On the walk
@@ -264,11 +264,10 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     non-square, so it extends nothing.  At max_m = 10^6, {1, 3, 8} with
     k = 1 reads 64 wheel points and tests 176 of the walk's 1413 points
     exactly; {7, 14, 41} with k = 2 reads 32 and tests none of 312, since
-    no m makes 7*m + 2, 14*m + 2 and 41*m + 2 all squares mod 4.  When
-    e > max_m, square_points tests each m directly and every such point is
-    tested exactly.  The wheel cuts the exact tests, not the order of the
-    cost: where it keeps points, the time still grows as sqrt(max_m), and
-    {1, 3, 8} at max_m = 10^20 runs for about half an hour.
+    no m makes 7*m + 2, 14*m + 2 and 41*m + 2 all squares mod 4.  The
+    wheel cuts the exact tests, not the order of the cost: where it keeps
+    points, the time still grows as sqrt(max_m), and {1, 3, 8} at
+    max_m = 10^20 runs for about half an hour.
 
     Returns the m that extend t as candidates, ascending; an element of t
     that meets the a- and b-conditions (a < b the two smallest) is in
@@ -281,8 +280,7 @@ def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
     # brute_force_search's walk, for a D(k) triple that is already verified
     a, b, _ = elements = t.elements
     k = t.k
-    e = min(elements, key=lambda e: max_m if e > max_m
-            else min(e, isqrt(e * max_m)) + isqrt(max_m // e))
+    e = min(elements, key=lambda e: min(e, max_m) + isqrt(max_m // e))
     x, y = (f for f in elements if f != e)
     found = []
     for m, r in _sieved_points(e, x, y, k, max_m):
@@ -301,14 +299,9 @@ def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
 
 
 def _sieved_points(e: int, x: int, y: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
-    # the (m, r) of square_points(e, k, max_m) that brute_force_search's
-    # wheel keeps for the other elements x and y, in no set order: for each
-    # root rho, each of the first _WHEEL points with x*m + k and y*m + k
-    # squares mod _WHEEL is walked in steps of _WHEEL*e; when e > max_m,
-    # every point of square_points
-    if e > max_m:
-        yield from square_points(e, k, max_m)
-        return
+    # the (m, r) of square_points(e, k, max_m) that brute_force_search's wheel
+    # keeps for the other elements x and y, in no set order: a root's first
+    # _WHEEL points with x*m + k and y*m + k squares mod _WHEEL step by _WHEEL*e
     rmax, rhos = _root_residues(e, k, max_m)
     squares = {r * r % _WHEEL for r in range(_WHEEL)}
     period = _WHEEL * e

@@ -61,9 +61,9 @@ def _expand(
     all: the convergents p/q advance with each partial quotient before the
     closing 2*a0, and the last of them, [a0; a1, ..., a(L-1)], has
     p^2 - D*q^2 = (-1)^L.  For even L that is the unit and -1 is not a norm;
-    for odd L it is the norm -1 solution and its square is the unit.
+    for odd L it is the norm -1 solution and its square is the unit.  D is
+    a non-square >= 2.
     """
-    _require_nonsquare(D)
     a0 = isqrt(D)
     P, Q, a = 0, 1, a0
     p, p0, q, q0 = a0, 1, 1, 0  # the convergent a0/1 and the one before it
@@ -85,6 +85,7 @@ def _expand(
 def fundamental_solution(D: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 with y >= 1, from the convergents
     of sqrt(D)."""
+    _require_nonsquare(D)
     return PellSolution(*_expand(D)[2])
 
 

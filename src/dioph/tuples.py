@@ -130,18 +130,14 @@ def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
 
     a*m + k = r^2 forces r^2 = k (mod a), so instead of testing every m the
     walk takes each residue rho in [0, a) with rho^2 = k (mod a) and steps
-    r = rho, rho + a, ... up to isqrt(a*max_m + k).  That is
-    min(a, sqrt(a*max_m)) residue tests plus rho(a)*sqrt(max_m/a) points,
-    where rho(a) is the number of roots of r^2 = k (mod a).  When a > max_m,
-    sqrt(a*max_m) exceeds max_m, so each m is tested directly instead: a
+    r = rho, rho + a, ... up to isqrt(a*max_m + k).  When a > max_m, fewer
+    m than residues are left, so the starts are instead the roots of the m
+    in [1, max_m] at which a*m + k is a square, each the one point of its
+    walk.  Either way the walk costs min(a, max_m) tests at most for its
+    starts plus one step per point, about rho(a)*sqrt(max_m/a) points for
+    a <= max_m, where rho(a) is the number of roots of r^2 = k (mod a): a
     huge a never costs more than max_m square tests.
     """
-    if a > max_m:
-        for m in range(1, max_m + 1):
-            r = is_perfect_square(a * m + k)
-            if r is not None:
-                yield m, r
-        return
     rmax, rhos = _root_residues(a, k, max_m)
     for rho in rhos:
         for r in range(rho, rmax + 1, a):
@@ -151,11 +147,15 @@ def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
 
 
 def _root_residues(a: int, k: int, max_m: int) -> tuple[int, list[int]]:
-    # the start of square_points' walk for a <= max_m: rmax, the largest r
-    # with r^2 <= a*max_m + k (-1 when that is negative), and each rho in
-    # [0, min(a, rmax + 1)) with rho^2 = k (mod a), ascending
+    # square_points' starts: rmax = isqrt(a*max_m + k), -1 when that is
+    # negative, and the roots, ascending: each rho < min(a, rmax + 1) with
+    # rho^2 = k (mod a), or for a > max_m (fewer m than residues) the root r of
+    # each square a*m + k, walking one point, as r + a gives m + 2*r + a > max_m
     top = a * max_m + k
     rmax = isqrt(top) if top >= 0 else -1
+    if a > max_m:
+        return rmax, [r for m in range(1, max_m + 1)
+                      if (r := is_perfect_square(a * m + k)) is not None]
     return rmax, [rho for rho in range(min(a, rmax + 1)) if (rho * rho - k) % a == 0]
 
 
@@ -187,29 +187,6 @@ class PairReduction:
     k: int
     D: int
     N: int
-
-    def recover_m(self, X: int, Y: int) -> int | None:
-        """The m behind a solution (X, Y), or None when the solution is spurious.
-
-        Spurious means X is not divisible by b, or (x^2 - k) is not divisible
-        by a, or the recovered m fails the b-condition; genuine solutions of
-        the reduced equation produced by an integer m always pass.
-
-        The b-condition cannot fail for a solution of X^2 - D*Y^2 = N: with
-        X = b*x and x^2 = a*m + k, dividing the equation by b gives
-        a*Y^2 = b*x^2 - k*(b - a) = a*(b*m + k).  It is checked anyway,
-        because a caller may pass a point that is not on the curve.
-        """
-        if X % self.b:
-            return None
-        x = X // self.b
-        num = x * x - self.k
-        if num % self.a:
-            return None
-        m = num // self.a
-        if self.b * m + self.k != Y * Y:
-            return None
-        return m
 
 
 def reduce_pair(a: int, b: int, k: int) -> PairReduction:

@@ -40,6 +40,7 @@ from dioph.tuples import (
     square_points,
     verify,
 )
+from reduction_oracle import recover_m
 
 T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
@@ -128,7 +129,7 @@ def reference_ladder(t, max_index):
     rungs = {}
     hits = set()
     for X, Y in solutions:
-        m = red.recover_m(X, Y)
+        m = recover_m(red, X, Y)
         if m is None or m <= 0:
             continue
         if m in t.elements:
@@ -422,7 +423,7 @@ class TestPellExtensionSearch:
                 points = [(c.rep.x, c.rep.y, c.unit.x, c.unit.y)
                           for c in solve_general(PellProblem(red.D, red.N))]
             live = [(X // b, Y, x1, y1) for X, Y, x1, y1 in points
-                    if red.recover_m(X, Y) is not None]
+                    if recover_m(red, X, Y) is not None]
             assert _live_classes(a, b, t.k) == live, t
             kinds["live"] += len(live)
             kinds["dead"] += len(points) - len(live)
@@ -551,9 +552,9 @@ class TestPellExtensionSearch:
                 if is_perfect_square(red.D) is not None:
                     continue
                 for cls in solve_general(PellProblem(red.D, red.N)):
-                    live = red.recover_m(cls.rep.x, cls.rep.y) is not None
+                    live = recover_m(red, cls.rep.x, cls.rep.y) is not None
                     for u, v in islice(cls.walk(), 31):
-                        assert (red.recover_m(abs(u), abs(v)) is not None) == live, (t, cls)
+                        assert (recover_m(red, abs(u), abs(v)) is not None) == live, (t, cls)
                     dead += not live
                     total += 1
             counts[name] = (dead, total)
@@ -602,7 +603,7 @@ class TestBruteForceSearch:
             # a <= max_m but a*max_m + k < 0; r = 0 would give self-hit 9
             (DiophTuple((8, 9, 17), -72), 8),
             (DiophTuple((4, 8, 10), -31), 8),  # cut short though a <= max_m
-            (DiophTuple((41, 239, 478), 2), 7),  # a > max_m: every m tested
+            (DiophTuple((41, 239, 478), 2), 7),  # a > max_m: one start per square a*m + k
             (T_7_14_41, 1),
             (T_1_3_8, 120),  # a*max_m + k = 11^2: the bound is inclusive
             (T_1_3_8, 119),
@@ -634,7 +635,7 @@ class TestBruteForceSearch:
 
     def test_wheel_keeps_the_points_square_mod_16(self, walked):
         # the points tested exactly are those of the walk at which both
-        # other elements give a square mod 16; e > max_m keeps them all
+        # other elements give a square mod 16, e > max_m as well
         squares = {0, 1, 4, 9}
         counts = {}
         cases = wheel_cases() + [(T_1_3_8, 8, 10**6), (T_7_14_41, 41, 10**6), (T_1_3_8, 3, 1)]
@@ -645,14 +646,15 @@ class TestBruteForceSearch:
             k = t.k
             x, y = (f for f in t.elements if f != e)
             points = list(square_points(e, k, max_m))
-            kept = sorted((m, r) for m, r in points if max_m < e
-                          or (x * m + k) % 16 in squares and (y * m + k) % 16 in squares)
+            kept = sorted((m, r) for m, r in points
+                          if (x * m + k) % 16 in squares and (y * m + k) % 16 in squares)
             assert sorted(_sieved_points(e, x, y, k, max_m)) == kept, (t, max_m)
             counts[t.elements, max_m] = (len(points), len(kept))
         # brute_force_search's docstring quotes these
         assert counts[(1, 3, 8), 10**6] == (1413, 176)
         assert counts[(7, 14, 41), 10**6] == (312, 0)
-        assert counts[(1, 3, 8), 1] == (1, 1)
+        # 3 > max_m = 1: the wheel drops m = 1, as 1*1 + 1 = 2 is no square mod 16
+        assert counts[(1, 3, 8), 1] == (1, 0)
 
     def test_matches_smallest_element_walk_on_default_census(self, walked):
         triples = census_triples()

@@ -11,8 +11,10 @@ from dioph.tuples import (
     is_regular,
     mod4_quadruple_obstruction,
     reduce_pair,
+    square_points,
     verify,
 )
+from reduction_oracle import recover_m
 
 # (elements, k) -> square roots of a*b + k in pair order (a, b) ascending
 GOOD_FIXTURES = {
@@ -114,6 +116,33 @@ class TestVerify:
         assert verify(t).ok == expected
 
 
+class TestSquarePoints:
+    @staticmethod
+    def per_m(a, k, max_m):
+        return [(m, r) for m in range(1, max_m + 1)
+                if (r := is_perfect_square(a * m + k)) is not None]
+
+    def test_matches_per_m_enumeration(self):
+        # a on both sides of max_m, where the starts switch from the
+        # residues below a to the roots of each square a*m + k; k below
+        # -a*max_m leaves no point, and k = a^2 puts a root at a
+        cases = 0
+        for max_m in (1, 2, 7, 100):
+            for a in (1, 2, max_m - 1, max_m, max_m + 1, 3 * max_m + 7):
+                if a < 1:
+                    continue
+                for k in (-a * max_m - 1, -a, -1, 1, 2, a, a + 1, a * a, 3 * a * a + 5):
+                    expected = self.per_m(a, k, max_m)
+                    assert sorted(square_points(a, k, max_m)) == expected, (a, k, max_m)
+                    cases += bool(expected)
+        assert cases > 100
+        # {a, a + 2, 4a + 4} with k = 1 is a D(1) triple; each element is
+        # far above max_m, so every start is the root of one point
+        a = 10**12
+        for e in (a, a + 2, 4 * a + 4):
+            assert sorted(square_points(e, 1, 10**4)) == self.per_m(e, 1, 10**4), e
+
+
 class TestEnumerateTriples:
     def test_matches_exhaustive_search(self):
         for k in [-7, -3, -1, 1, 2, 4, 8]:
@@ -197,7 +226,7 @@ class TestReducePair:
         red = reduce_pair(239, 478, 2)
         X, Y = red.b * 99, 140
         assert X * X - red.D * Y * Y == red.N
-        assert red.recover_m(X, Y) == 41
+        assert recover_m(red, X, Y) == 41
 
     def test_recover_m_roundtrip_by_enumeration(self):
         for (a, b), k in [((7, 14), 2), ((3, 4), -3), ((1, 3), 1), ((2, 7), 2)]:
@@ -210,7 +239,7 @@ class TestReducePair:
                     continue
                 X, Y = red.b * ra, rb
                 assert X * X - red.D * Y * Y == red.N
-                assert red.recover_m(X, Y) == m
+                assert recover_m(red, X, Y) == m
                 seen.append(m)
             assert seen, f"no condition witnesses below 2000 for {(a, b, k)}"
 
@@ -218,12 +247,12 @@ class TestReducePair:
         red = reduce_pair(7, 14, 2)
         # (14, 0) solves X^2 - 98Y^2 = 196 but m = (1-2)/7 is not integral
         assert 14 * 14 - red.D * 0 * 0 == red.N
-        assert red.recover_m(14, 0) is None
+        assert recover_m(red, 14, 0) is None
         # X not a multiple of b
-        assert red.recover_m(197, 52) is None
+        assert recover_m(red, 197, 52) is None
         # m integral but the second condition b*m+k = Y^2 violated
-        assert red.recover_m(42, 5) is None
-        assert red.recover_m(42, 4) == 1
+        assert recover_m(red, 42, 5) is None
+        assert recover_m(red, 42, 4) == 1
 
 
 class TestObstructions:
