@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .arith import is_perfect_square
 from .pell import _class_points
-from .tuples import DiophTuple, _root_residues
+from .tuples import DiophTuple, _pair_roots, _root_residues
 
 __all__ = [
     "ExtensionCandidate",
@@ -98,16 +98,13 @@ class SearchReport:
 
 
 def _require_verified_triple(t: DiophTuple) -> None:
-    # the pairs in dioph.tuples.verify's order; the first that fails is named
+    # the first pair of dioph.tuples' pair walk that is not a square is named
     if t.size != 3:
         raise ValueError(f"extension search needs a triple, got size {t.size}")
-    a, b, c = t.elements
-    k = t.k
-    for x, y in ((a, b), (a, c), (b, c)):
-        if is_perfect_square(x * y + k) is None:
-            raise ValueError(
-                f"{t} is not a D({k}) triple: {x}*{y}{k:+d} = {x * y + k} is not a square"
-            )
+    for x, y, shifted, root in _pair_roots(t):
+        if root is None:
+            raise ValueError(f"{t} is not a D({t.k}) triple: "
+                             f"{x}*{y}{t.k:+d} = {shifted} is not a square")
 
 
 def _require_bound(name: str, value: int, floor: int) -> None:

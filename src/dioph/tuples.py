@@ -95,15 +95,15 @@ class VerificationReport:
 
 def verify(t: DiophTuple) -> VerificationReport:
     """Check every pairwise condition of t exactly."""
-    checks = []
-    els = t.elements
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            a, b = els[i], els[j]
-            product = a * b
-            shifted = product + t.k
-            checks.append(PairCheck(a, b, product, shifted, is_perfect_square(shifted)))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(PairCheck(a, b, a * b, s, r) for a, b, s, r in _pair_roots(t)))
+
+
+def _pair_roots(t: DiophTuple) -> Iterator[tuple[int, int, int, int | None]]:
+    # (a, b, a*b + k, its root or None) for each pair a < b of t, lazily, in
+    # combinations order (the elements are sorted): the one walk of the pair
+    # condition, which verify records and the extension searches' guard reads
+    return ((a, b, (s := a * b + t.k), is_perfect_square(s))
+            for a, b in combinations(t.elements, 2))
 
 
 def enumerate_triples(limit: int, k: int) -> Iterator[tuple[int, int, int]]:

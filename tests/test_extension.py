@@ -1,8 +1,10 @@
+import io
 import random
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
 from functools import cache
 from itertools import islice
@@ -10,6 +12,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph.arith import factorize, is_perfect_square
 from dioph.cli import main as cli_main
@@ -187,6 +190,27 @@ def census_triples() -> tuple[DiophTuple, ...]:
 def wide_census_triples() -> tuple[DiophTuple, ...]:
     """The 3764 triples of the wide census: elements <= 150, k in [-30, 30]."""
     return tuple(DiophTuple(e, k) for k in range(-30, 31) if k for e in enumerate_triples(150, k))
+
+
+@st.composite
+def triples_dk_or_not(draw):
+    """Triples with elements <= 200 and 1 <= |k| <= 50: random ones, almost
+    never D(k); default-census ones, always D(k); and census ones with one
+    element swapped for another D(k) partner of a second, so that the pair
+    left to fail may be any of the three."""
+    kind = draw(st.sampled_from(["random", "census", "swapped"]))
+    if kind == "random":
+        elements = draw(st.lists(st.integers(1, 200), min_size=3, max_size=3, unique=True))
+        return DiophTuple(tuple(elements), draw(st.integers(-50, 50).filter(bool)))
+    t = draw(st.sampled_from(census_triples()))
+    elements = list(t.elements)
+    hub, swapped = draw(st.permutations(range(3)))[:2]
+    partners = [m for m in range(1, 201) if m not in elements
+                and is_perfect_square(elements[hub] * m + t.k) is not None]
+    if kind == "census" or not partners:
+        return t
+    elements[swapped] = draw(st.sampled_from(partners))
+    return DiophTuple(tuple(elements), t.k)
 
 
 def is_2_adic_square_or_zero(x):
@@ -1140,6 +1164,31 @@ class TestVerifiesOncePerSearch:
         assert cli_main(argv) == 3
         assert guard_calls == [T_7_14_41]
 
+    @given(triples_dk_or_not())
+    @settings(max_examples=100, deadline=None)
+    def test_every_search_names_the_first_pair_verify_fails(self, t):
+        # the guard reads verify's own pair walk: a D(k) triple runs every
+        # search, any other is refused with the first pair verify fails
+        report = verify(t)
+        searches = (lambda: pell_extension_search(t, 2), lambda: brute_force_search(t, 100),
+                    lambda: find_certificate(t, 64), lambda: search_and_certify(t, 2, 64))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(["extend", "--set", ",".join(map(str, t.elements)), f"--k={t.k}"])
+        if report.ok:
+            for search in searches:
+                search()
+            assert code in (0, 3, 4)
+            return
+        bad = report.failing_pairs()[0]
+        message = (f"{t} is not a D({t.k}) triple: "
+                   f"{bad.a}*{bad.b}{t.k:+d} = {bad.shifted} is not a square")
+        for search in searches:
+            with pytest.raises(ValueError) as raised:
+                search()
+            assert str(raised.value) == message
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -1154,6 +1203,41 @@ def benchmark_pool() -> tuple[DiophTuple, ...]:
     finally:
         sys.path.remove(str(PERFBENCH))
     return tuple(DiophTuple(elements, k) for elements, k in pool.triple_pool())
+
+
+def regular_fourth_elements(t):
+    """The d = a + b + c + 2*(a*b*c +- r*s*u)/k, with r, s, u the roots of
+    a*b + k, a*c + k and b*c + k, that are positive integers outside t and
+    extend t: the regular extensions, in closed form."""
+    a, b, c = t.elements
+    k = t.k
+    rsu = isqrt(a * b + k) * isqrt(a * c + k) * isqrt(b * c + k)
+    found = []
+    for numerator in (2 * (a * b * c + rsu), 2 * (a * b * c - rsu)):
+        if numerator % k == 0:
+            d = a + b + c + numerator // k
+            if d >= 1 and d not in t.elements and all(
+                e * d + k >= 0 and isqrt(e * d + k) ** 2 == e * d + k for e in t.elements
+            ):
+                found.append(d)
+    return found
+
+
+class TestRegularExtensionsAreWalked:
+    @pytest.mark.parametrize(
+        "triples,pairs,extended",
+        [(census_triples, 247, 241), (wide_census_triples, 501, 493), (benchmark_pool, 625, 613)],
+        ids=["census", "wide", "pool"],
+    )
+    def test_walk_finds_every_regular_fourth_element(self, triples, pairs, extended):
+        # every closed-form d+ or d- that extends is a candidate of the Pell
+        # walk at index 30, past the brute-force oracle's 10^6 too (166 of
+        # the pool's lie above it)
+        regular = {t: ds for t in triples() if (ds := regular_fourth_elements(t))}
+        assert (sum(map(len, regular.values())), len(regular)) == (pairs, extended)
+        for t, ds in regular.items():
+            walked = {c.m for c in pell_extension_search(t, 30).candidates}
+            assert set(ds) <= walked, (t, ds)
 
 
 def walk_first(t, strategy, bound, max_modulus):

@@ -1,4 +1,5 @@
 import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,23 @@ class TestVerify:
         for elements, k in GOOD_FIXTURES:
             for perm in itertools.permutations(elements):
                 assert verify(DiophTuple(perm, k)).ok
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=5, unique=True),
+        st.integers(min_value=-100, max_value=100).filter(lambda k: k != 0),
+    )
+    @settings(max_examples=200)
+    def test_pairs_in_combinations_order_with_exact_values(self, elements, k):
+        # every pair a < b of the sorted elements once, in combinations
+        # order, with the exact product, shift and nonnegative root; small
+        # elements make many of the shifts squares
+        def root(x):
+            return isqrt(x) if x >= 0 and isqrt(x) ** 2 == x else None
+
+        expected = [(a, b, a * b, a * b + k, root(a * b + k))
+                    for a, b in itertools.combinations(sorted(elements), 2)]
+        report = verify(DiophTuple(tuple(elements), k))
+        assert [(p.a, p.b, p.product, p.shifted, p.root) for p in report.pairs] == expected
 
     @given(
         st.lists(
