@@ -16,17 +16,45 @@ __all__ = [
 TRIAL_DIVISION_BOUND = 10**6
 
 # Squares land on only 44 of the 256 residues mod 256, 16 of the 63 mod 63,
-# 21 of the 65 mod 65 and 6 of the 11 mod 11.  The tables reject all but
-# 44*16*21*6 / (256*63*65*11) = 1/130 of uniformly random values before a
-# root is computed; one reduction mod 45045 = 63*65*11 serves the last three.
+# 21 of the 65 mod 65, 6 of the 11 mod 11, and (p + 1)/2 of the p mod each
+# prime p = 17, 19, 23 and 29.  The tables reject all but
+# 44*16*21*6*9*10*12*15 / (256*63*65*11*17*19*23*29), about 1/1729, of
+# uniformly random values before a root is computed (the first four alone
+# leave 1/130).  They run in two stages, each on one residue below 2^30:
+# the first four read n mod 256*45045 = 256*63*65*11, the last four
+# n mod 215441 = 17*19*23*29.  A stage passes n exactly when it passes
+# n's residue, so the Pell walk of dioph.extension runs the stages on the
+# residues of its members, _SQUARE_MODULI.
 _SQUARES_MOD_256 = bytearray(256)
 _SQUARES_MOD_63 = bytearray(63)
 _SQUARES_MOD_65 = bytearray(65)
 _SQUARES_MOD_11 = bytearray(11)
-for _table in (_SQUARES_MOD_256, _SQUARES_MOD_63, _SQUARES_MOD_65, _SQUARES_MOD_11):
+_SQUARES_MOD_17 = bytearray(17)
+_SQUARES_MOD_19 = bytearray(19)
+_SQUARES_MOD_23 = bytearray(23)
+_SQUARES_MOD_29 = bytearray(29)
+for _table in (_SQUARES_MOD_256, _SQUARES_MOD_63, _SQUARES_MOD_65, _SQUARES_MOD_11,
+               _SQUARES_MOD_17, _SQUARES_MOD_19, _SQUARES_MOD_23, _SQUARES_MOD_29):
     for _r in range(len(_table)):
         _table[_r * _r % len(_table)] = 1
 del _table, _r
+
+_SQUARE_MODULI = (256 * 45045, 215441)
+
+
+def _first_square_stage(n: int) -> bool:
+    # False only when n >= 0 is no square by the tables mod 256, 63, 65 and 11
+    if not _SQUARES_MOD_256[n & 255]:
+        return False
+    res = n % 45045
+    return bool(_SQUARES_MOD_63[res % 63] and _SQUARES_MOD_65[res % 65] and _SQUARES_MOD_11[res % 11])
+
+
+def _second_square_stage(n: int) -> bool:
+    # False only when n >= 0 is no square by the tables mod 17, 19, 23 and 29
+    res = n % 215441
+    return bool(_SQUARES_MOD_17[res % 17] and _SQUARES_MOD_19[res % 19]
+                and _SQUARES_MOD_23[res % 23] and _SQUARES_MOD_29[res % 29])
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -34,10 +62,7 @@ def is_perfect_square(n: int) -> int | None:
 
     Negative n is never a perfect square.
     """
-    if n < 0 or not _SQUARES_MOD_256[n & 255]:
-        return None
-    res = n % 45045
-    if not (_SQUARES_MOD_63[res % 63] and _SQUARES_MOD_65[res % 65] and _SQUARES_MOD_11[res % 11]):
+    if n < 0 or not (_first_square_stage(n) and _second_square_stage(n)):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None

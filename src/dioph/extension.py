@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
 
-from .arith import is_perfect_square
+from .arith import _SQUARE_MODULI, _first_square_stage, _second_square_stage, is_perfect_square
 from .pell import _class_points
 from .tuples import DiophTuple, _pair_roots, _root_residues
 
@@ -184,6 +184,25 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     isqrt(b*m + k), exact because a*m + k = x^2 and b*m + k = Y^2 at every
     member of a live class.
 
+    Most members are no square, and the walk finds them without their
+    exact w.  dioph.arith's square filter runs in two stages, the first on
+    w mod M1 = 256*45045 and the second on w mod M2 = 215441, together
+    w mod R with R = M1*M2 = 256*45045*215441; M1 and M2 are below 2^30,
+    so the residues are small integers.  Each class runs the recurrence
+    on w mod M1 through every member, on w mod M2 only up to the last
+    member whose residue mod M1 passes the first stage or equals c's own
+    value (c^2 + k) mod M1, and on w itself only up to the last member
+    that also passes the second stage or matches (c^2 + k) mod M2.  Only
+    those members are looked up among the c*e + k, compared with k and
+    tested for a square.  Nothing that the report lists is skipped: an
+    integer square is a square modulo every modulus, so every candidate
+    passes both stages; the self-hits of a and b are squares, since
+    c*a + k and c*b + k are (t is a D(k) triple); and c's own value
+    c^2 + k, which need not be a square, matches its own residues.  The
+    filter passes about 1 in 1730 uniformly random values, so the exact
+    recurrence seldom runs past the last member that is a square or c's
+    own value, however large w grows.
+
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions; _class_points lists them as classes of one
     member each, with the unit (1, 0), so the walk stays on each.  Either
@@ -214,11 +233,15 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
     # pell_extension_search's walk, for a D(k) triple that is already
     # verified; each class is walked by w = c*m + k through the recurrence
     # of that function's docstring, seeded at its least member and the two
-    # members beside it.  m > 0 exactly when w > k; an m may come more than
-    # once (the unit (1, 0) of a square a*b repeats its point)
+    # members beside it.  r = w mod M1 steps through every member; s = w mod
+    # M2 catches up with it only at a member whose r passes, and w only at
+    # one whose s passes too.  m > 0 exactly when w > k; an m may come more
+    # than once (the unit (1, 0) of a square a*b repeats its point)
     a, b, c = t.elements
     k = t.k
+    M1, M2 = _SQUARE_MODULI
     hits = {c * e + k: e for e in t.elements}
+    own1, own2 = (c * c + k) % M1, (c * c + k) % M2
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
     for x, Y, x1, y1 in _live_classes(a, b, k):
@@ -227,13 +250,24 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
         w = c * ((x * x - k) // a) + k
         w1 = c * ((xf * xf - k) // a) + k
         q = 4 * x1 * x1 - 1
-        for _ in range(max_index + 1):
-            if w in hits:
-                self_hits.add(hits[w])
-            elif w > k and (rc := is_perfect_square(w)) is not None:
-                m = (w - k) // c
-                found[m] = ExtensionCandidate(m, {a: isqrt(a * m + k), b: isqrt(b * m + k), c: rc})
-            w0, w, w1 = w, w1, q * (w1 - w) + w0
+        r0, r, r1, q1 = w0 % M1, w % M1, w1 % M1, q % M1
+        s0, s, s1, q2 = w0 % M2, w % M2, w1 % M2, q % M2
+        s_at = w_at = 0  # the members s and w stand at
+        for n in range(max_index + 1):
+            if r == own1 or _first_square_stage(r):
+                for _ in range(n - s_at):
+                    s0, s, s1 = s, s1, (q2 * (s1 - s) + s0) % M2
+                s_at = n
+                if s == own2 or _second_square_stage(s):
+                    for _ in range(n - w_at):
+                        w0, w, w1 = w, w1, q * (w1 - w) + w0
+                    w_at = n
+                    if w in hits:
+                        self_hits.add(hits[w])
+                    elif w > k and (rc := is_perfect_square(w)) is not None:
+                        m = (w - k) // c
+                        found[m] = ExtensionCandidate(m, {a: isqrt(a * m + k), b: isqrt(b * m + k), c: rc})
+            r0, r, r1 = r, r1, (q1 * (r1 - r) + r0) % M1
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
 

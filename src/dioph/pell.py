@@ -217,9 +217,11 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
         grown = []
         for h in range(e // 2 + 1):
             q = p ** (e - 2 * h)
-            roots = _roots_mod_prime_power(D, p, e - 2 * h)
-            for f, size, zs in parts:
-                grown.append((f * p**h, size * q, _crt(zs, size, roots, q)))
+            if q == 1:  # the one root 0 of D mod 1 leaves each zs as it is
+                grown += [(f * p**h, size, zs) for f, size, zs in parts]
+            elif roots := _roots_mod_prime_power(D, p, e - 2 * h):
+                grown += [(f * p**h, size * q, _crt(zs, size, roots, q)) for f, size, zs in parts]
+            # a q with no root leaves that f no class, and no part
         parts = grown
     reps: list[tuple[int, int]] = []
     for f, size, zs in parts:
@@ -320,12 +322,12 @@ def _least_member(D: int, x1: int, y1: int, x: int, y: int) -> tuple[int, int]:
             x, y = x * x1 - D * y * y1, by
         else:
             break
-    ties = [(x, y)]  # a neighbour ties only in a class that is its own mirror
-    if abs(fy) == abs(y):
-        ties.append((x * x1 + D * y * y1, fy))
-    if abs(by) == abs(y):
-        ties.append((x * x1 - D * y * y1, by))
-    return max((-u, -v) if (v, u) < (0, 0) else (u, v) for u, v in ties)
+    least = (-x, -y) if (y, x) < (0, 0) else (x, y)
+    if abs(fy) == abs(y) or abs(by) == abs(y):
+        # a neighbour ties only in a class that is its own mirror
+        u, v = (x * x1 + D * y * y1, fy) if abs(fy) == abs(y) else (x * x1 - D * y * y1, by)
+        least = max(least, (-u, -v) if (v, u) < (0, 0) else (u, v))
+    return least
 
 
 def _crt(zs: list[int], n: int, roots: list[int], q: int) -> list[int]:

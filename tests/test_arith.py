@@ -40,11 +40,30 @@ class TestIsPerfectSquare:
         expected = r if r * r == n else None
         assert is_perfect_square(n) == expected
 
-    @pytest.mark.parametrize("q", [256, 63, 65, 11])
+    @pytest.mark.parametrize("q", [256, 63, 65, 11, 17, 19, 23, 29])
     def test_residue_tables_hold_exactly_the_squares(self, q):
         table = getattr(arith, f"_SQUARES_MOD_{q}")
         assert len(table) == q
         assert {r for r in range(q) if table[r]} == {r * r % q for r in range(q)}
+        # the stage that reads the table may read it from a residue mod its modulus
+        stage = 1 if q in (17, 19, 23, 29) else 0
+        assert arith._SQUARE_MODULI[stage] % q == 0
+
+    @given(st.integers(min_value=0, max_value=10**40))
+    def test_each_square_stage_reads_only_the_residue_of_its_modulus(self, n):
+        # the Pell walk runs the stages on its members' residues
+        first, second = arith._SQUARE_MODULI
+        assert arith._first_square_stage(n) == arith._first_square_stage(n % first)
+        assert arith._second_square_stage(n) == arith._second_square_stage(n % second)
+
+    @given(st.one_of(
+        st.integers(min_value=0, max_value=10**5000).flatmap(
+            lambda r: st.sampled_from([r * r - 1, r * r, r * r + 1])),
+        st.integers(min_value=0, max_value=10**10000),
+    ))
+    def test_agrees_with_isqrt_on_squares_their_neighbours_and_huge_values(self, n):
+        r = isqrt(max(n, 0))
+        assert is_perfect_square(n) == (r if r * r == n else None)
 
     def test_agrees_with_isqrt_on_a_dense_range(self):
         for n in range(-10, 2 * 10**6 + 1):

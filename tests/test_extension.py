@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.arith import factorize, is_perfect_square
+from dioph.arith import _first_square_stage, factorize, is_perfect_square
 from dioph.cli import main as cli_main
 from dioph.extension import (
     VERDICT_BOUNDED,
@@ -43,7 +43,7 @@ from dioph.tuples import (
     square_points,
     verify,
 )
-from reduction_oracle import recover_m
+from reduction_oracle import recover_m, reference_walk
 
 T_7_14_41 = DiophTuple((7, 14, 41), 2)
 T_1_3_8 = DiophTuple((1, 3, 8), 1)
@@ -551,6 +551,22 @@ class TestPellExtensionSearch:
             assert checked_ladder(t, index) == reference_ladder(t, index), t
         # the forward walk has to stand in for the backward one in each case
         assert kinds == {"mirror pair", "x = 0", "y = 0", "tie"}
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 15, 30])
+    @pytest.mark.parametrize("name", ["census", "pool"])
+    def test_matches_the_walk_with_every_member_exact(self, name, index):
+        # the residue filter skips only members that are no square and not
+        # c's own value c*c + k; {1, 3, 8} meets its self-hit 8 at index 1,
+        # where 8*8 + 1 = 65 is no square
+        triples = {"census": census_triples, "pool": benchmark_pool}[name]()
+        for t in (*WALK_FIXTURES, *triples):
+            assert pell_extension_search(t, index) == reference_walk(t, index), t
+
+    def test_keeps_the_own_value_of_c_though_it_is_no_square(self):
+        # at index 1 the self-hit 8 of {1, 3, 8} comes only from c's own
+        # value, 65, which the square filter's first stage rejects (65 = 2 mod 9)
+        assert not _first_square_stage(8 * 8 + 1)
+        assert pell_extension_search(T_1_3_8, 1).self_hits == (8,)
 
     def test_candidate_record_contract(self):
         # equality and repr by fields; frozen, yet unhashable, since roots is a dict

@@ -6,8 +6,9 @@ limit (the run's ``timeout``) and an address-space limit
 (``resource.setrlimit(RLIMIT_AS)``, set in the child only, so nothing
 outside it changes).  A row must exit with its documented code, without a
 traceback, inside both limits.  The budgets are far above today's times
-(0.1-0.3 s each on a shared 2-vCPU host), so a row fails on a blow-up, not
-on a slow neighbour.  An input whose budget does not hold yet, such as
+(0.1-0.3 s each on a shared 2-vCPU host, about 1 s for the scaled bounded
+walk {7, 83, 138}*2^8), so a row fails on a blow-up, not on a slow
+neighbour.  An input whose budget does not hold yet, such as
 {7168, 14336, 41984} with k = 2^21 at the default cap, joins the table
 with the change that meets it.
 """
@@ -49,6 +50,8 @@ ROWS = [
                  b"error: cannot factor ", id="large-prime-in-N"),
     pytest.param("unit equation", ["pell", "--d", "9999889", "--count", "1"], 0, b"",
                  id="7668-digit-unit"),
+    pytest.param("Pell walk", ["extend", "--set", "1792,21248,35328", "--k", "-327680",
+                               "--bound-index", "15"], 4, b"", id="scaled-bounded-walk"),
 ]
 
 
