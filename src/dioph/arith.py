@@ -23,8 +23,8 @@ TRIAL_DIVISION_BOUND = 10**6
 # leave 1/130).  They run in two stages, each on one residue below 2^30:
 # the first four read n mod 256*45045 = 256*63*65*11, the last four
 # n mod 215441 = 17*19*23*29.  A stage passes n exactly when it passes
-# n's residue, so the Pell walk of dioph.extension runs the stages on the
-# residues of its members, _SQUARE_MODULI.
+# n's residue, so the Pell walk of dioph.extension runs them on its
+# members' residues mod _SQUARE_MODULI.
 _SQUARES_MOD_256 = bytearray(256)
 _SQUARES_MOD_63 = bytearray(63)
 _SQUARES_MOD_65 = bytearray(65)
