@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from collections import Counter
-from itertools import islice
 
 from .extension import (
     VERDICT_BOUNDED,
@@ -272,7 +271,8 @@ def _cmd_pell(args: argparse.Namespace) -> int:
     classes = solve_general(PellProblem(args.d, args.n))
 
     def members(cls):
-        return islice(cls.solutions(), args.count)
+        # zip, not islice: --count has no ceiling, and islice stops at sys.maxsize
+        return (s for _, s in zip(range(args.count), cls.solutions()))
 
     if args.output == "json":
         # canonical JSON needs the whole document, so only JSON collects the members

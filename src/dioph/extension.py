@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator
 
 from .arith import _SQUARE_MODULI, _first_square_stage, _second_square_stage, is_perfect_square
 from .pell import _class_points
-from .tuples import DiophTuple, _pair_roots, _root_residues
+from .tuples import DiophTuple, _pair_roots, _root_walks
 
 __all__ = [
     "ExtensionCandidate",
@@ -287,18 +286,20 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     r = rho, rho + e, ... of one root rho of r^2 = k (mod e), the point
     m = (r^2 - k)/e moves by ((r + 16*e)^2 - r^2)/e = 32*r + 256*e over 16
     steps, a multiple of 16; so m mod 16, and with it x*m + k and y*m + k
-    mod 16, repeats every 16 steps.  For each rho the wheel reads the first
-    min(16, steps) points once and keeps those at which x*m + k and y*m + k
-    are both squares mod 16, that is 0, 1, 4 or 9; each kept point is then
-    walked in steps of 16*e.  This is sound because an integer square is a
-    square mod 16: a point the wheel drops makes x*m + k or y*m + k a
-    non-square, so it extends nothing.  At max_m = 10^6, {1, 3, 8} with
+    mod 16, repeats every 16 steps.  The wheel is the first 16 points of
+    each root walk (all of them, if it has fewer), plus every 16th point
+    from each kept one: it keeps the points among the first 16 at which
+    x*m + k and y*m + k are both squares mod 16, that is 0, 1, 4 or 9, and
+    tests each kept point and every 16th point after it, its walk in steps
+    of 16*e.  This is sound because an integer square is a square mod 16:
+    a point the wheel drops makes x*m + k or y*m + k a non-square, so it
+    extends nothing.  At max_m = 10^6, {1, 3, 8} with
     k = 1 reads 64 wheel points and tests 176 of the walk's 1413 points
     exactly; {7, 14, 41} with k = 2 reads 32 and tests none of 312, since
     no m makes 7*m + 2, 14*m + 2 and 41*m + 2 all squares mod 4.  The
     wheel cuts the exact tests, not the order of the cost: where it keeps
     points, the time still grows as sqrt(max_m), and {1, 3, 8} at
-    max_m = 10^20 runs for about half an hour.
+    max_m = 10^20 runs for about a quarter of an hour.
 
     Returns the m that extend t as candidates, ascending; an element of t
     that meets the a- and b-conditions (a < b the two smallest) is in
@@ -308,42 +309,33 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
 
 
 def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
-    # brute_force_search's walk, for a D(k) triple that is already verified
+    # brute_force_search's walk, for a D(k) triple that is already verified:
+    # the wheel reads the first _WHEEL points of each root walk of e, and the
+    # i-th one, when x*m + k and y*m + k are squares mod _WHEEL there, walks
+    # on as walk[i::_WHEEL]; x is tested exactly first, then the elements
     a, b, _ = elements = t.elements
     k = t.k
     e = min(elements, key=lambda e: min(e, max_m) + isqrt(max_m // e))
     x, y = (f for f in elements if f != e)
+    squares = {r * r % _WHEEL for r in range(_WHEEL)}
     found = []
-    for m, r in _sieved_points(e, x, y, k, max_m):
-        rx = is_perfect_square(x * m + k)
-        if rx is None or m in elements:
-            continue
-        ry = is_perfect_square(y * m + k)
-        if ry is not None:
-            found.append(ExtensionCandidate(m, dict(sorted([(e, r), (x, rx), (y, ry)]))))
+    for walk in _root_walks(e, k, max_m):
+        for i, r in enumerate(walk[:_WHEEL]):
+            m = (r * r - k) // e
+            if (x * m + k) % _WHEEL not in squares or (y * m + k) % _WHEEL not in squares:
+                continue
+            for r in walk[i::_WHEEL]:
+                m = (r * r - k) // e
+                if m < 1 or (rx := is_perfect_square(x * m + k)) is None or m in elements:
+                    continue
+                if (ry := is_perfect_square(y * m + k)) is not None:
+                    found.append(ExtensionCandidate(m, dict(sorted([(e, r), (x, rx), (y, ry)]))))
     found.sort(key=lambda cand: cand.m)
     # same diagnostic the pair-reduction strategy emits
     hits = tuple(h for h in elements if h <= max_m
                  and is_perfect_square(a * h + k) is not None
                  and is_perfect_square(b * h + k) is not None)
     return SearchReport(t, "brute_force", max_m, tuple(found), hits)
-
-
-def _sieved_points(e: int, x: int, y: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
-    # the (m, r) of square_points(e, k, max_m) that brute_force_search's wheel
-    # keeps for the other elements x and y, in no set order: a root's first
-    # _WHEEL points with x*m + k and y*m + k squares mod _WHEEL step by _WHEEL*e
-    rmax, rhos = _root_residues(e, k, max_m)
-    squares = {r * r % _WHEEL for r in range(_WHEEL)}
-    period = _WHEEL * e
-    for rho in rhos:
-        for r0 in range(rho, min(rho + period, rmax + 1), e):
-            m = (r0 * r0 - k) // e
-            if (x * m + k) % _WHEEL in squares and (y * m + k) % _WHEEL in squares:
-                for r in range(r0, rmax + 1, period):
-                    m = (r * r - k) // e
-                    if m >= 1:
-                        yield m, r
 
 
 # each strategy's walk, the name of its bound, and the least bound it takes

@@ -136,27 +136,31 @@ def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
     walk.  Either way the walk costs min(a, max_m) tests at most for its
     starts plus one step per point, about rho(a)*sqrt(max_m/a) points for
     a <= max_m, where rho(a) is the number of roots of r^2 = k (mod a): a
-    huge a never costs more than max_m square tests.
+    huge a never costs more than max_m square tests.  _root_walks hands
+    out these walks, one range of r per start.
     """
-    rmax, rhos = _root_residues(a, k, max_m)
-    for rho in rhos:
-        for r in range(rho, rmax + 1, a):
+    for walk in _root_walks(a, k, max_m):
+        for r in walk:
             m = (r * r - k) // a
             if m >= 1:
                 yield m, r
 
 
-def _root_residues(a: int, k: int, max_m: int) -> tuple[int, list[int]]:
-    # square_points' starts: rmax = isqrt(a*max_m + k), -1 when that is
-    # negative, and the roots, ascending: each rho < min(a, rmax + 1) with
-    # rho^2 = k (mod a), or for a > max_m (fewer m than residues) the root r of
-    # each square a*m + k, walking one point, as r + a gives m + 2*r + a > max_m
+def _root_walks(a: int, k: int, max_m: int) -> list[range]:
+    # square_points' walks, one range(start, rmax + 1, a) of r per start,
+    # rmax = isqrt(a*max_m + k), -1 when that is negative, in ascending
+    # order of start: each rho < min(a, rmax + 1) with rho^2 = k (mod a), or
+    # for a > max_m (fewer m than residues) the root r of each square a*m + k,
+    # whose walk holds one point, as r + a gives m + 2*r + a > max_m.  A walk
+    # can outgrow sys.maxsize, so callers slice and iterate it, never len() it
     top = a * max_m + k
     rmax = isqrt(top) if top >= 0 else -1
     if a > max_m:
-        return rmax, [r for m in range(1, max_m + 1)
-                      if (r := is_perfect_square(a * m + k)) is not None]
-    return rmax, [rho for rho in range(min(a, rmax + 1)) if (rho * rho - k) % a == 0]
+        starts = [r for m in range(1, max_m + 1)
+                  if (r := is_perfect_square(a * m + k)) is not None]
+    else:
+        starts = [rho for rho in range(min(a, rmax + 1)) if (rho * rho - k) % a == 0]
+    return [range(start, rmax + 1, a) for start in starts]
 
 
 def is_regular(t: DiophTuple) -> bool:

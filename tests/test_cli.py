@@ -413,17 +413,22 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
 
 
+# 10^8, and 2^64, past sys.maxsize: --count has no ceiling
+HUGE_COUNTS = ("100000000", "18446744073709551616")
+
+
 def test_out_of_memory_exits_2_without_traceback():
     # canonical JSON collects the whole document: its list of 10^8 Pell
     # members outgrows a 300 MB address space in under a second
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "100000000",
-            "--output", "json"]
-    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
-                          preexec_fn=_limit_address_space)
-    assert proc.returncode == 2
-    assert proc.stderr == b"error: out of memory\n"
+    for count in HUGE_COUNTS:
+        argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", count,
+                "--output", "json"]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
+                              preexec_fn=_limit_address_space)
+        assert proc.returncode == 2, count
+        assert proc.stderr == b"error: out of memory\n", count
 
 
 def test_pell_text_streams_in_bounded_memory():
@@ -432,18 +437,19 @@ def test_pell_text_streams_in_bounded_memory():
     # the closed pipe, not on memory
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", "100000000"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                          preexec_fn=_limit_address_space) as proc:
-        lines = [proc.stdout.readline() for _ in range(3)]
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-    assert lines == [b"x^2 - 2*y^2 = 1\n",
-                     b"fundamental solution of the unit equation: (3, 2); "
-                     b"recurrence coefficient 6\n",
-                     b"  (1, 0)\n"]
-    assert proc.returncode == 141
-    assert b"Traceback" not in err
+    for count in HUGE_COUNTS:
+        argv = [sys.executable, "-m", "dioph", "pell", "--d", "2", "--count", count]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              preexec_fn=_limit_address_space) as proc:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert lines == [b"x^2 - 2*y^2 = 1\n",
+                         b"fundamental solution of the unit equation: (3, 2); "
+                         b"recurrence coefficient 6\n",
+                         b"  (1, 0)\n"], count
+        assert proc.returncode == 141, count
+        assert b"Traceback" not in err, count
 
 
 @pytest.mark.parametrize("entry", [["scripts/triple_census.py"], ["-m", "dioph", "census"]])

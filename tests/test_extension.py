@@ -26,8 +26,8 @@ from dioph.extension import (
     _allowed_residues,
     _live_classes,
     _require_verified_triple,
+    _root_walks,
     _search,
-    _sieved_points,
     _square_depth,
     brute_force_search,
     find_certificate,
@@ -392,12 +392,25 @@ def walked(monkeypatch):
     """The element of each square_points walk that dioph.extension starts."""
     elements = []
 
-    def recording_square_points(a, *args):
+    def recording_root_walks(a, *args):
         elements.append(a)
-        return _sieved_points(a, *args)
+        return _root_walks(a, *args)
 
-    monkeypatch.setattr("dioph.extension._sieved_points", recording_square_points)
+    monkeypatch.setattr("dioph.extension._root_walks", recording_root_walks)
     return elements
+
+
+@pytest.fixture
+def square_tested(monkeypatch):
+    """Every value dioph.extension tests exactly for a square."""
+    values = []
+
+    def recording_is_perfect_square(n):
+        values.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr("dioph.extension.is_perfect_square", recording_is_perfect_square)
+    return values
 
 
 class TestPellExtensionSearch:
@@ -673,22 +686,40 @@ class TestBruteForceSearch:
             assert repr(report) == repr(reference_smallest_element_walk(t, max_m)), (t, max_m)
             assert_roots_hold(report)
 
-    def test_wheel_keeps_the_points_square_mod_16(self, walked):
+    @given(st.integers(0, 617), st.integers(1, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_m_reference_at_random_bounds(self, index, max_m):
+        # a bound anywhere cuts the root walks at any point of the wheel's
+        # first pass or of a kept point's steps, and for e > max_m too
+        t = census_triples()[index]
+        assert brute_force_search(t, max_m) == reference_brute_force(t, max_m), (t, max_m)
+
+    def test_wheel_keeps_the_points_square_mod_16(self, walked, square_tested):
         # the points tested exactly are those of the walk at which both
-        # other elements give a square mod 16, e > max_m as well
+        # other elements give a square mod 16, e > max_m as well: x at each
+        # of them, y where x*m + k is a square and m is no element, and
+        # then the self-hit tests of the two smallest elements a and b
         squares = {0, 1, 4, 9}
         counts = {}
         cases = wheel_cases() + [(T_1_3_8, 8, 10**6), (T_7_14_41, 41, 10**6), (T_1_3_8, 3, 1)]
         for t, e, max_m in cases:
             walked.clear()
+            square_tested.clear()
             brute_force_search(t, max_m)
             assert walked == [e], (t, max_m)
             k = t.k
+            a, b, _ = t.elements
             x, y = (f for f in t.elements if f != e)
             points = list(square_points(e, k, max_m))
-            kept = sorted((m, r) for m, r in points
-                          if (x * m + k) % 16 in squares and (y * m + k) % 16 in squares)
-            assert sorted(_sieved_points(e, x, y, k, max_m)) == kept, (t, max_m)
+            kept = [m for m, _ in points
+                    if (x * m + k) % 16 in squares and (y * m + k) % 16 in squares]
+            tested = [x * m + k for m in kept]
+            tested += [y * m + k for m in kept
+                       if is_perfect_square(x * m + k) is not None and m not in t.elements]
+            hits = [h for h in t.elements if h <= max_m]
+            tested += [a * h + k for h in hits]
+            tested += [b * h + k for h in hits if is_perfect_square(a * h + k) is not None]
+            assert Counter(square_tested) == Counter(tested), (t, max_m)
             counts[t.elements, max_m] = (len(points), len(kept))
         # brute_force_search's docstring quotes these
         assert counts[(1, 3, 8), 10**6] == (1413, 176)
