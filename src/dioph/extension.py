@@ -24,7 +24,7 @@ deliberately shares no residue-set code with the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .arith import _SQUARE_MODULI, _first_square_stage, _second_square_stage, is_perfect_square
 from .pell import _class_points
@@ -400,19 +400,19 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     Squareness mod 2^j is decided without a table: write x = 2^v*u with u
     odd; x is a square mod 2^j exactly when j <= v, or v is even and
     u = 1 mod 2^min(j-v, 3).  The scan reads this once per value as a
-    number, the square depth of x: with top the last level under the cap,
-    the largest j <= top at which x is a square mod 2^j.  Cut to top bits,
-    x = 0 has depth top; otherwise an odd v gives v, and an even v gives
-    top when u = 1 (mod 8), v + 2 when u = 5 (mod 8) and v + 1 when u is
-    3 or 7 (mod 8).  A modulus that does not certify stops at the first
-    residue m allowed by all three elements.  Only a certifying modulus
-    lists the allowed residues, and it lists them without testing each m:
-    by the criterion, e*m + k is a square mod 2^j exactly when
-    e*m + k = 0 (mod 2^j) or e*m + k = 2^v (mod 2^(v + min(j-v, 3))) for
-    an even v < j.  A linear congruence e*m + k = r (mod 2^i) holds on one
-    residue class of m modulo 2^i/gcd(e, 2^i), or on none, so each element
-    allows a union of at most ceil(j/2) + 1 progressions mod 2^j, and listing
-    them costs about as much as the residues they hold.
+    number, the square depth of x: the largest j at which x is a square
+    mod 2^j.  It is infinite for x = 0 and for a square in Z_2 (v even,
+    u = 1 mod 8); otherwise an odd v gives v, and an even v gives v + 2
+    when u = 5 (mod 8) and v + 1 when u is 3 or 7 (mod 8).  A modulus that
+    does not certify stops at the first residue m allowed by all three
+    elements.  Only a certifying modulus lists the allowed residues, and it
+    lists them without testing each m: by the criterion, e*m + k is a square
+    mod 2^j exactly when e*m + k = 0 (mod 2^j) or
+    e*m + k = 2^v (mod 2^(v + min(j-v, 3))) for an even v < j.  A linear
+    congruence e*m + k = r (mod 2^i) holds on one residue class of m modulo
+    2^i/gcd(e, 2^i), or on none, so each element allows a union of at most
+    ceil(j/2) + 1 progressions mod 2^j, and listing them costs about as
+    much as the residues they hold.
     verify_certificate still re-derives every set by enumeration.
 
     The powers 2, 4, 8, ... up to max_modulus are scanned upwards, and the
@@ -425,9 +425,9 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     once the scan finds its least common residue m, m stays common up to
     the smallest depth d of its three values and fails at d + 1, so the
     scan goes straight to level d + 1 and resumes at m + 1: every level it
-    skips would have found the same m on its first test.  When every depth
-    is top, the scan passes the cap and returns None, its one exit without
-    a certificate.
+    skips would have found the same m on its first test.  When the
+    smallest depth passes the last level under the cap, the scan returns
+    None, its one exit without a certificate.
 
     The scan decides the 2-adic question: it returns None at a cap only
     when no power of 2 up to the cap certifies.  Suppose no power of 2
@@ -438,17 +438,16 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     m' = m + e*s^2 with s != 0 in Z_2: then e*m' + k = (e*s)^2, and each
     other value moves by e*e'*s^2, which leaves that nonzero square a square
     once v_2(s) is large enough.  So some common m has all three values
-    nonzero.  With V
-    the largest 2-adic valuation of the three, every m'' = m
-    (mod 2^(V+3)) keeps each value's valuation and its odd part mod 8, so
-    it is common too, and so is the least nonnegative integer n in that
-    class.  The least common residues never decrease and stay at or below
-    n, so they settle on an integer m0 common mod every power of 2; no
-    smaller nonnegative integer is, since it would have been found first.
+    nonzero.  With V the largest 2-adic valuation of the three, every
+    m'' = m (mod 2^(V+3)) keeps each value's valuation and its odd part
+    mod 8, so it is common too, and so is the least nonnegative integer n
+    in that class.  The least common residues never decrease and stay at or
+    below n, so they settle on an integer m0 common mod every power of 2;
+    no smaller nonnegative integer is, since it would have been found first.
     Every value at m0 is then 0 or a square in Z_2, so its three depths are
-    top, and a cap ends the scan undecided only by being too small: the
-    scan stops at the least nonnegative integer m at which every e*m + k is
-    0 or a square in Z_2.
+    infinite, and a cap ends the scan undecided only by being too small:
+    the scan stops at the least nonnegative integer m at which every
+    e*m + k is 0 or a square in Z_2.
     """
     _require_bound("max_modulus", max_modulus, 2)
     _require_verified_triple(t)
@@ -461,11 +460,11 @@ def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     top = max_modulus.bit_length() - 1  # the last level under the cap
     depth = _square_depth
     m = 0  # the least residue common mod 2^(j-1); it fails at level j
-    j = depth(k, top) + 1
+    j = depth(k) + 1
     while j <= top:
         for m in range(m + 1, 1 << j):
-            if ((d1 := depth(e1 * m + k, top)) >= j and (d2 := depth(e2 * m + k, top)) >= j
-                    and (d3 := depth(e3 * m + k, top)) >= j):
+            if ((d1 := depth(e1 * m + k)) >= j and (d2 := depth(e2 * m + k)) >= j
+                    and (d3 := depth(e3 * m + k)) >= j):
                 break
         else:
             return ModularCertificate(1 << j, {e: _allowed_residues(e, k, j) for e in t.elements})
@@ -488,16 +487,15 @@ def _allowed_residues(e: int, k: int, j: int) -> frozenset[int]:
     return frozenset().union(*progressions)
 
 
-def _square_depth(x: int, top: int) -> int:
-    # the largest j <= top at which x is a square mod 2^j: find_certificate's
-    # criterion on x cut to top bits, whose odd part u is below 2^(top-v), so
-    # that u = 1 (mod 2^min(top-v, 3)) reads u = 1 (mod 8)
-    x &= (1 << top) - 1
+def _square_depth(x: int) -> float:
+    # the largest j at which x is a square mod 2^j, by find_certificate's
+    # criterion; inf for 0 and for a square in Z_2, which are squares mod
+    # every 2^j
     if x == 0:
-        return top
+        return inf
     v = (x & -x).bit_length() - 1
     u = (x >> v) & 7
-    return v if v & 1 else top if u == 1 else v + 2 if u == 5 else v + 1
+    return v if v & 1 else inf if u == 1 else v + 2 if u == 5 else v + 1
 
 
 def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:

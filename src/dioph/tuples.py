@@ -153,8 +153,8 @@ def _root_walks(a: int, k: int, max_m: int) -> list[range]:
     # for a > max_m (fewer m than residues) the root r of each square a*m + k,
     # whose walk holds one point, as r + a gives m + 2*r + a > max_m.  A walk
     # can outgrow sys.maxsize, so callers slice and iterate it, never len() it
-    top = a * max_m + k
-    rmax = isqrt(top) if top >= 0 else -1
+    largest = a * max_m + k
+    rmax = isqrt(largest) if largest >= 0 else -1
     if a > max_m:
         starts = [r for m in range(1, max_m + 1)
                   if (r := is_perfect_square(a * m + k)) is not None]

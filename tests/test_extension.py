@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
 from functools import cache
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from pathlib import Path
 
 import pytest
@@ -211,6 +211,12 @@ def triples_dk_or_not(draw):
         return t
     elements[swapped] = draw(st.sampled_from(partners))
     return DiophTuple(tuple(elements), t.k)
+
+
+@cache
+def squares_mod_2_to(j):
+    """The squares mod 2^j, enumerated."""
+    return frozenset(r * r % (1 << j) for r in range(1 << j))
 
 
 def is_2_adic_square_or_zero(x):
@@ -872,13 +878,22 @@ class TestFindCertificate:
             assert got == ref, f"{t}: expected first modulus {ref}, got {got}"
 
     def test_square_test_matches_enumeration(self):
-        # the depth is the largest j <= top with x a square mod 2^j, against
-        # the squares mod each 2^j enumerated
-        squares = {j: {r * r % (1 << j) for r in range(1 << j)} for j in range(1, 13)}
+        # the depth, read up to each top, is the largest j <= top with x a
+        # square mod 2^j, against the squares mod each 2^j enumerated
         for top in range(1, 13):
             for x in range(-(1 << top), 1 << (top + 1)):
-                expected = max(j for j in range(1, top + 1) if x % (1 << j) in squares[j])
-                assert _square_depth(x, top) == expected, (x, top)
+                expected = max(j for j in range(1, top + 1) if x % (1 << j) in squares_mod_2_to(j))
+                assert min(_square_depth(x), top) == expected, (x, top)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4000).flatmap(
+        lambda bits: st.integers(-(1 << bits), 1 << bits)), st.integers(1, 16))
+    def test_square_depth_is_exact_far_past_any_cap(self, x, j):
+        # values of thousands of bits, of both signs: the depth is infinite
+        # exactly at 0 and the squares in Z_2, and at least j exactly when
+        # x is a square mod 2^j
+        assert (_square_depth(x) == inf) == is_2_adic_square_or_zero(x), x
+        assert (_square_depth(x) >= j) == (x % (1 << j) in squares_mod_2_to(j)), (x, j)
 
     def test_listing_matches_enumeration(self):
         # the certifying branch's progressions against the enumerated
@@ -996,9 +1011,9 @@ class TestFindCertificate:
         # the values whose square depth the scan reads, in order
         values = []
 
-        def recording_depth(x, top):
+        def recording_depth(x):
             values.append(x)
-            return _square_depth(x, top)
+            return _square_depth(x)
 
         monkeypatch.setattr("dioph.extension._square_depth", recording_depth)
         return values
@@ -1020,18 +1035,17 @@ class TestFindCertificate:
 
     def test_square_test_past_the_bit_length_decides_2_adic_squares(self):
         # a nonzero x is a square in Z_2 exactly when it is one mod
-        # 2^(v_2(x) + 3), and v_2(x) + 1 <= x.bit_length(), so from
-        # top = x.bit_length() + 2 on the depth is top exactly when x is 0
-        # or a square in Z_2; checked against enumeration mod a far larger
-        # power, at zero and at negative x too
+        # 2^(v_2(x) + 3), and v_2(x) + 1 <= x.bit_length(), so the depth is
+        # infinite exactly when x is 0 or a square mod 2^(x.bit_length() + 2);
+        # checked against enumeration mod a far larger power, at zero and at
+        # negative x too
         squares = {}
         for x in range(-(1 << 9), (1 << 9) + 1):
             J = x.bit_length() + 10
             if J not in squares:
                 squares[J] = {r * r % (1 << J) for r in range(1 << (J - 1))}
             expected = x % (1 << J) in squares[J]
-            for top in range(x.bit_length() + 2, J + 1):
-                assert (_square_depth(x, top) == top) == expected, (x, top)
+            assert (_square_depth(x) == inf) == expected, x
 
     def test_no_wide_census_certificate_lies_above_2_to_the_9(self):
         # every wide-census triple (elements <= 150, |k| <= 30) is decided
@@ -1075,14 +1089,24 @@ class TestFindCertificate:
         assert verify_certificate(cert, t)
 
     def test_huge_cap_settles_small_certificate(self):
-        tracemalloc.start()
-        try:
-            cert = find_certificate(T_7_14_41, 10**12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert cert.modulus == 4
-        assert peak < 10**6
+        # a depth is read from the value alone, so a cap of 2^(2^23), built
+        # before tracing starts, costs what 10^12 does: {7, 14, 41}
+        # certifies at 4, {2, 6, 14} stops at m = 2, and {4, 54, 86} stops
+        # after the wide census's longest scan
+        caps = (10**12, 1 << (1 << 23))
+        cases = [(T_7_14_41, 4), (DiophTuple((2, 6, 14), -3), None),
+                 (DiophTuple((4, 54, 86), -20), None)]
+        for t, modulus in cases:
+            for cap in caps:
+                tracemalloc.start()
+                try:
+                    cert = find_certificate(t, cap)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                got = None if cert is None else cert.modulus
+                assert got == modulus, (t, cap.bit_length())
+                assert peak < 10**6, (t, cap.bit_length(), peak)
 
     def test_certificate_is_sound_against_brute_force(self):
         # a certificate must be consistent with an empty brute-force sweep
