@@ -199,6 +199,16 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
     equation has finitely many solutions with x, y >= 0, each one its own
     class, and they come sorted by y with the unit (1, 0), which fixes
     every point.
+
+    The roots z and -z of one pair carry mirror classes: the class of
+    (-x, y) holds the mirror (-u, v) of each member (u, v) of the class of
+    (x, y), with the same |v|.  For 0 < 2z < |m| the two roots differ, so
+    no class of the pair, nor of its split, is its own mirror, and none
+    has a tie in |y| (see _least_member): the least members of the classes
+    of -z are those of z with x negated.  One expansion and one
+    normalisation serve both classes of a pair.  The points need no
+    particular order before the sort: the key (y, x < 0) is a total order
+    on the points of one (D, N), since y fixes x^2 and the sign fixes x.
     """
     factors = factorize(abs(N))
     if is_perfect_square(D) is not None:
@@ -217,24 +227,11 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
         grown = []
         for h in range(e // 2 + 1):
             q = p ** (e - 2 * h)
-            if q == 1:  # the one root 0 of D mod 1 leaves each zs as it is
-                grown += [(f * p**h, size, zs) for f, size, zs in parts]
-            elif roots := _roots_mod_prime_power(D, p, e - 2 * h):
+            # q = 1 has the one root 0, and _crt(zs, size, [0], 1) is zs
+            if roots := _roots_mod_prime_power(D, p, e - 2 * h):
                 grown += [(f * p**h, size * q, _crt(zs, size, roots, q)) for f, size, zs in parts]
             # a q with no root leaves that f no class, and no part
         parts = grown
-    reps: list[tuple[int, int]] = []
-    for f, size, zs in parts:
-        m = N // (f * f)
-        for z in zs:
-            if 2 * z > size:
-                continue  # -z < |m|/2 is a root too; its class is the conjugate
-            xy = _lmm_solution(D, a0, principal, negative_unit, z, m)
-            if xy is None:
-                continue
-            reps.append((f * xy[0], f * xy[1]))
-            if 0 < 2 * z < size:
-                reps.append((-f * xy[0], f * xy[1]))
     powers = [(1, 0)]  # e'**i for 0 <= i < r
     ux, uy = x1, y1
     while uy % s:
@@ -242,11 +239,23 @@ def _class_points(D: int, N: int) -> tuple[list[tuple[int, int]], tuple[int, int
         ux, uy = ux * x1 + D * uy * y1, ux * y1 + uy * x1
     unit = ux, uy // s
     full = D * s * s  # the D asked about
-    points = [
-        _least_member(full, *unit, s * (u * px + D * v * py), u * py + v * px)
-        for u, v in reps
-        for px, py in powers
-    ]
+    points = []
+    for f, size, zs in parts:
+        m = N // (f * f)
+        for z in zs:
+            if 2 * z > size:
+                continue  # -z < |m|/2 is a root too; its class is the mirror
+            xy = _lmm_solution(D, a0, principal, negative_unit, z, m)
+            if xy is None:
+                continue
+            u, v = f * xy[0], f * xy[1]
+            least = [
+                _least_member(full, *unit, s * (u * px + D * v * py), u * py + v * px)
+                for px, py in powers
+            ]
+            points += least
+            if 0 < 2 * z < size:  # the classes of -z, each the mirror of one here
+                points += [(-x, y) for x, y in least]
     points.sort(key=lambda xy: (xy[1], xy[0] < 0))
     return points, unit
 
@@ -311,6 +320,12 @@ def _least_member(D: int, x1: int, y1: int, x: int, y: int) -> tuple[int, int]:
     N < 0.  Either way |y| falls and then rises, so the walk stops at the
     least |y|, and a tie can only be with one neighbour.  (x1, y1) is the
     fundamental unit of D.
+
+    A tie holds only in a class that is its own mirror, the class of
+    (-x, y).  If beta and beta*e**(+-1) have the same |y|, they have the
+    same x^2 = N + D*y^2, so beta*e**(+-1) is +-beta or +-conj(beta).  It
+    is not +-beta, as e**(+-1) != +-1; so it is +-conj(beta), and the
+    class holds -conj(beta), the mirror of beta.
     """
     while True:
         # the y of the neighbours (x, y) * unit**(+-1); their x only on a step
