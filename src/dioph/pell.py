@@ -97,6 +97,12 @@ class PellClass:
     The class may be built on any of its members; construction replaces rep
     by the member of least y >= 0, x >= 0 on a tie (_least_member), so two
     classes built on members of one class compare equal.
+
+    The unit is a solution of x^2 - D*y^2 = 1 with unit.x * unit.y > 0: the
+    fundamental unit of D, a positive power of it, or the negation of one.
+    Construction rejects any other unit with ValueError, since the proof in
+    solutions() needs each unit step to raise |beta|, and (1, 0), (-1, 0) and
+    the units with mixed signs, which walk backwards, do not.
     """
 
     problem: PellProblem
@@ -108,6 +114,8 @@ class PellClass:
         x, y = self.rep.x, self.rep.y
         if x * x - D * y * y != N:
             raise ValueError("rep does not satisfy the defining equation")
+        if self.unit.x * self.unit.y <= 0:
+            raise ValueError("unit must have x*y > 0, to walk away from the least member")
         if self.unit.x * self.unit.x - D * self.unit.y * self.unit.y != 1:
             raise ValueError("unit does not satisfy the unit equation")
         least = _least_member(D, self.unit.x, self.unit.y, x, y)
@@ -318,14 +326,18 @@ def _least_member(D: int, x1: int, y1: int, x: int, y: int) -> tuple[int, int]:
     Along rep * unit**n, 2*sqrt(D)*y = alpha*e**n - alpha'*e**-n with
     alpha*alpha' = N: monotone in n for N > 0, convex and of one sign for
     N < 0.  Either way |y| falls and then rises, so the walk stops at the
-    least |y|, and a tie can only be with one neighbour.  (x1, y1) is the
-    fundamental unit of D.
+    least |y|, and a tie can only be with one neighbour.  (x1, y1) is a
+    unit e with x1*y1 > 0, not necessarily the fundamental one: a positive
+    power of it, or the negation of one, whose sign changes no |y|.
 
     A tie holds only in a class that is its own mirror, the class of
     (-x, y).  If beta and beta*e**(+-1) have the same |y|, they have the
     same x^2 = N + D*y^2, so beta*e**(+-1) is +-beta or +-conj(beta).  It
-    is not +-beta, as e**(+-1) != +-1; so it is +-conj(beta), and the
-    class holds -conj(beta), the mirror of beta.
+    is not +-beta, as e**(+-1) != +-1; so it is +-conj(beta) = +-(x, -y),
+    and the class holds -conj(beta), the mirror of beta.  Normalised to
+    y >= 0 the two are (x, |y|) and (-x, |y|), and neither x = 0 nor y = 0
+    can tie, as |x1| > 1 and y1 != 0.  So the least member of a tied class
+    is (|x|, |y|).
     """
     while True:
         # the y of the neighbours (x, y) * unit**(+-1); their x only on a step
@@ -337,12 +349,9 @@ def _least_member(D: int, x1: int, y1: int, x: int, y: int) -> tuple[int, int]:
             x, y = x * x1 - D * y * y1, by
         else:
             break
-    least = (-x, -y) if (y, x) < (0, 0) else (x, y)
     if abs(fy) == abs(y) or abs(by) == abs(y):
-        # a neighbour ties only in a class that is its own mirror
-        u, v = (x * x1 + D * y * y1, fy) if abs(fy) == abs(y) else (x * x1 - D * y * y1, by)
-        least = max(least, (-u, -v) if (v, u) < (0, 0) else (u, v))
-    return least
+        return abs(x), abs(y)  # a tie: the class is its own mirror
+    return (-x, -y) if (y, x) < (0, 0) else (x, y)
 
 
 def _crt(zs: list[int], n: int, roots: list[int], q: int) -> list[int]:

@@ -4,7 +4,7 @@ import time
 from itertools import islice, takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dioph.arith import TRIAL_DIVISION_BOUND, is_perfect_square
 from dioph.pell import (
@@ -147,6 +147,20 @@ class TestPellClass:
         with pytest.raises(ValueError):
             PellClass(prob, PellSolution(1, 0), PellSolution(3, 2))
 
+    def test_unit_must_walk_away_from_the_least_member(self):
+        # solutions() walks forwards from rep, which needs each unit step to
+        # raise |beta|: (3, -2) and (-3, 2) walk towards the mixed-sign
+        # members and never yield again, and (1, 0) yields (3, 1) forever
+        prob, rep = PellProblem(2, 7), PellSolution(3, 1)
+        for x, y in [(1, 0), (-1, 0), (3, -2), (-3, 2)]:
+            with pytest.raises(ValueError, match="x\\*y > 0"):
+                PellClass(prob, rep, PellSolution(x, y))
+        forwards = PellClass(prob, rep, PellSolution(3, 2))
+        negated = PellClass(prob, rep, PellSolution(-3, -2))
+        assert negated.rep == forwards.rep == rep
+        assert list(islice(negated.solutions(), 3)) == list(islice(forwards.solutions(), 3))
+        assert PellClass(prob, rep, PellSolution(17, 12)).rep == rep
+
     def test_members_stay_on_conic(self):
         for prob in [PellProblem(2, -2), PellProblem(5, -4), PellProblem(2, 7)]:
             for cls in solve_general(prob):
@@ -172,6 +186,12 @@ class TestPellClass:
         st.sampled_from(NONSQUARE_D),
         st.integers(min_value=-(10**4), max_value=10**4).filter(lambda n: n != 0),
     )
+    # classes whose rep ties in |y| with the member behind it: (-x, y) for
+    # N < 0, (x, -y) for N > 0
+    @example(2, -1)
+    @example(5, -4)
+    @example(61, -1)
+    @example(2, 2)
     @settings(max_examples=100, deadline=None)
     def test_class_built_on_any_member_equals_the_solved_class(self, D, N):
         problem = PellProblem(D, N)
@@ -179,8 +199,10 @@ class TestPellClass:
             x, y = cls.rep.x, cls.rep.y
             x1, y1 = cls.unit.x, cls.unit.y
             members = list(islice(cls.walk(), 4))
-            members += [(-u, -v) for u, v in members]
             members.append((x * x1 - D * y * y1, y * x1 - x * y1))  # rep / unit
+            if abs(members[-1][1]) == y:  # a tie: the class is its own mirror
+                assert members[-1] in [(-x, y), (x, -y)] and x > 0
+            members += [(-u, -v) for u, v in members]
             for u, v in members:
                 assert PellClass(problem, PellSolution(u, v), cls.unit) == cls
 
