@@ -1,4 +1,5 @@
-"""Exact integer primitives: perfect-square tests, Legendre symbol, factorisation.
+"""Exact integer primitives: perfect-square tests, Legendre symbol,
+factorisation, and the square roots of k modulo n.
 
 Everything here is plain arbitrary-precision integer arithmetic; nothing
 returns a float.
@@ -124,3 +125,97 @@ def factorize(n: int) -> list[tuple[int, int]]:
         factors.append((n, 1))
     return factors
 
+
+def _sqrt_mod(k: int, n: int) -> list[int]:
+    """Every z in [0, n) with z^2 = k (mod n), ascending, for n >= 1.
+
+    The roots mod each prime power p**e of factorize(n) are combined by
+    CRT, so a factorisation that raises raises here too.  Past the
+    factorisation, each prime power costs at most one Tonelli-Shanks root
+    and a Hensel lift, and each root one CRT step.
+    """
+    zs, size = [0], 1
+    for p, e in factorize(n):
+        roots = _roots_mod_prime_power(k, p, e)
+        if not roots:
+            return []
+        q = p**e
+        zs, size = _crt(zs, size, roots, q), size * q
+    return sorted(zs)
+
+
+def _crt(zs: list[int], n: int, roots: list[int], q: int) -> list[int]:
+    """Every residue mod n*q that is one of zs mod n and one of roots mod q,
+    for coprime n and q."""
+    inv = pow(n, -1, q)
+    return [z + n * ((r - z) * inv % q) for z in zs for r in roots]
+
+
+def _roots_mod_prime_power(D: int, p: int, e: int) -> list[int]:
+    """Every z in [0, p**e) with z^2 = D (mod p**e), for a prime p."""
+    q = p**e
+    D %= q
+    if D == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = 0
+    while D % p == 0:
+        D //= p
+        v += 1
+    if v % 2:
+        return []
+    # z = p**h * w with w^2 = D/p**v (mod p**(e-v)); w is free mod p**(e-h)
+    h = v // 2
+    step = p ** (e - h)
+    return [
+        p**h * w + t * step
+        for w in _unit_roots_mod_prime_power(D, p, e - v)
+        for t in range(p**h)
+    ]
+
+
+def _unit_roots_mod_prime_power(u: int, p: int, j: int) -> list[int]:
+    """Every w in [0, p**j) with w^2 = u (mod p**j), for u prime to p."""
+    q = p**j
+    if p == 2:
+        if j <= 2:
+            return [w for w in range(1, q, 2) if (w * w - u) % q == 0]
+        if u % 8 != 1:
+            return []
+        w = 1
+        for i in range(3, j):  # w^2 = u (mod 2**i) -> (mod 2**(i+1)), w < 2**(i-1)
+            if (w * w - u) >> i & 1:
+                w += 1 << (i - 1)
+        half = q >> 1
+        return [w, q - w, half + w, half - w]
+    w = _sqrt_mod_prime(u % p, p)
+    if w is None:
+        return []
+    precision = p
+    while precision < q:  # Newton steps double the p-adic precision
+        precision = min(precision * precision, q)
+        w = (w - (w * w - u) * pow(2 * w, -1, precision)) % precision
+    return [w, q - w]
+
+
+def _sqrt_mod_prime(u: int, p: int) -> int | None:
+    """A root of w^2 = u (mod p) for an odd prime p and u prime to p
+    (Tonelli-Shanks), or None when u is a non-residue."""
+    if pow(u, (p - 1) // 2, p) != 1:
+        return None
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    c = 2
+    while pow(c, (p - 1) // 2, p) == 1:
+        c += 1
+    c = pow(c, odd, p)
+    t, w = pow(u, odd, p), pow(u, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c, t, w = i, b * b % p, t * b * b % p, w * b % p
+    return w

@@ -274,12 +274,15 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
 def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     """Oracle search: every m in [1, max_m] outside t that extends t.
 
-    Only the m with e*m + k a square are visited, e the element whose
-    dioph.tuples.square_points walk costs least by that function's estimate
-    with rho(e) = 1: min(e, max_m) + isqrt(max_m // e), ties going to the
-    smaller element.  Ignoring rho(e) can cost one triple up to a factor
-    rho(e): {1, 3, 8} with k = 1 at max_m = 10^6 walks 8 (1421 values), not
-    1 (1000).
+    Only the m with e*m + k a square are visited, along the
+    dioph.tuples.square_points walk of one element e: the one with the
+    least min(e, max_m) + isqrt(max_m // e), ties going to the smaller
+    element.  For e <= max_m the walk's starts come from the factorisation
+    of e, which the term min(e, max_m) does not measure, and an e <= max_m
+    that trial division cannot factor raises ValueError.  The rule ignores
+    rho(e), the number of roots of r^2 = k (mod e), which can cost one
+    triple up to a factor rho(e): {1, 3, 8} with k = 1 at max_m = 10^6
+    walks 8 (1413 points), not 1 (1000).
 
     The walk is sieved by a wheel mod 16, and only the points it keeps get
     the exact square tests of the other two elements x and y.  On the walk

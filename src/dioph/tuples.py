@@ -15,7 +15,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Iterator
 
-from .arith import is_perfect_square
+from .arith import _sqrt_mod, is_perfect_square
 
 __all__ = [
     "DiophTuple",
@@ -126,19 +126,23 @@ def enumerate_triples(limit: int, k: int) -> Iterator[tuple[int, int, int]]:
 
 def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
     """Every (m, r) with 1 <= m <= max_m and a*m + k = r*r, r >= 0, in no
-    set order, for a >= 1.
+    set order, for a >= 1; a < 1 raises ValueError.
 
     a*m + k = r^2 forces r^2 = k (mod a), so instead of testing every m the
-    walk takes each residue rho in [0, a) with rho^2 = k (mod a) and steps
-    r = rho, rho + a, ... up to isqrt(a*max_m + k).  When a > max_m, fewer
-    m than residues are left, so the starts are instead the roots of the m
-    in [1, max_m] at which a*m + k is a square, each the one point of its
-    walk.  Either way the walk costs min(a, max_m) tests at most for its
-    starts plus one step per point, about rho(a)*sqrt(max_m/a) points for
-    a <= max_m, where rho(a) is the number of roots of r^2 = k (mod a): a
-    huge a never costs more than max_m square tests.  _root_walks hands
-    out these walks, one range of r per start.
+    walk takes each root rho in [0, a) of rho^2 = k (mod a) and steps
+    r = rho, rho + a, ... up to isqrt(a*max_m + k).  The roots come from
+    factorize(a), by CRT over its prime powers (dioph.arith), so a walk
+    costs the factorisation plus one step per point, about
+    rho(a)*sqrt(max_m/a) points, where rho(a) is the number of roots; an a
+    that factorize cannot split raises its ValueError.  When a > max_m,
+    fewer m than residues are left and a need not factor, so the starts are
+    instead the roots of the m in [1, max_m] at which a*m + k is a square,
+    each the one point of its walk: a huge a never costs more than max_m
+    square tests.  _root_walks hands out these walks, one range of r per
+    start.
     """
+    if a < 1:
+        raise ValueError(f"square_points needs a >= 1, got a={a}")
     for walk in _root_walks(a, k, max_m):
         for r in walk:
             m = (r * r - k) // a
@@ -149,17 +153,18 @@ def square_points(a: int, k: int, max_m: int) -> Iterator[tuple[int, int]]:
 def _root_walks(a: int, k: int, max_m: int) -> list[range]:
     # square_points' walks, one range(start, rmax + 1, a) of r per start,
     # rmax = isqrt(a*max_m + k), -1 when that is negative, in ascending
-    # order of start: each rho < min(a, rmax + 1) with rho^2 = k (mod a), or
-    # for a > max_m (fewer m than residues) the root r of each square a*m + k,
-    # whose walk holds one point, as r + a gives m + 2*r + a > max_m.  A walk
-    # can outgrow sys.maxsize, so callers slice and iterate it, never len() it
+    # order of start: each root rho <= rmax of rho^2 = k (mod a), from the
+    # factorisation of a, or for a > max_m (fewer m than residues, and a may
+    # not factor) the root r of each square a*m + k, whose walk holds one
+    # point, as r + a gives m + 2*r + a > max_m.  A walk can outgrow
+    # sys.maxsize, so callers slice and iterate it, never len() it
     largest = a * max_m + k
     rmax = isqrt(largest) if largest >= 0 else -1
     if a > max_m:
         starts = [r for m in range(1, max_m + 1)
                   if (r := is_perfect_square(a * m + k)) is not None]
     else:
-        starts = [rho for rho in range(min(a, rmax + 1)) if (rho * rho - k) % a == 0]
+        starts = [rho for rho in _sqrt_mod(k, a) if rho <= rmax]
     return [range(start, rmax + 1, a) for start in starts]
 
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dioph import arith
-from dioph.arith import TRIAL_DIVISION_BOUND, factorize, is_perfect_square, legendre
+from dioph.arith import (
+    TRIAL_DIVISION_BOUND,
+    _crt,
+    _roots_mod_prime_power,
+    _sqrt_mod,
+    factorize,
+    is_perfect_square,
+    legendre,
+)
 
 
 def small_primes(limit):
@@ -183,3 +191,32 @@ class TestLegendre:
             assert all(x * x % p != a % p for x in range(p))
         else:
             assert a % p == 0
+
+
+class TestSqrtMod:
+    def test_matches_a_scan_of_every_residue(self):
+        for n in range(1, 501):
+            for k in range(-12, 13):
+                assert _sqrt_mod(k, n) == [z for z in range(n) if (z * z - k) % n == 0], (k, n)
+
+    def test_agrees_with_sympy(self):
+        ntheory = pytest.importorskip("sympy.ntheory")
+        rng = random.Random(53)
+        rooted = 0
+        for i in range(3000):
+            n = rng.randrange(2, 10**9)
+            # every other k is a square, so that many n have roots
+            k = rng.randrange(n) ** 2 if i % 2 else rng.randrange(-n, n)
+            expected = sorted(ntheory.sqrt_mod(k % n, n, all_roots=True) or [])
+            assert _sqrt_mod(k, n) == expected, (k, n)
+            rooted += bool(expected)
+        assert rooted >= 1500
+
+    def test_a_prime_power_dividing_f_fully_keeps_each_root(self):
+        # when p**h in f takes all of p**e from N, the modulus left is
+        # p**0 = 1: its one root is 0, and combining with it changes no root
+        for p in (2, 3, 5, 7, 97):
+            for D in (0, 1, 2, 3, 5, 50, 2**25, 10**30 + 7):
+                assert _roots_mod_prime_power(D, p, 0) == [0], (D, p)
+        for n, zs in [(1, [0]), (7, [3, 4]), (8, [1, 3, 5, 7]), (45, [10, 35, 44])]:
+            assert _crt(zs, n, [0], 1) == zs, (n, zs)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph import DiophTuple, enumerate_triples, search_and_certify
+from dioph import DiophTuple, enumerate_triples, find_certificate, search_and_certify
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from triple_census import main  # noqa: E402
@@ -15,8 +15,9 @@ from triple_census import main  # noqa: E402
     [
         ([], ["618", "593", "249", "228", "141"]),
         (["--k-min", "-30", "--k-max", "30"], ["3764", "3435", "720", "1749", "1295"]),
+        (["--limit", "1000"], ["5228", "5126", "2764", "1528", "936"]),
     ],
-    ids=["default", "wide"],
+    ids=["default", "wide", "limit-1000"],
 )
 def test_default_run_totals(capsys, argv, totals):
     assert main(argv) == 0
@@ -33,6 +34,30 @@ def test_default_run_certificate_moduli():
             if cert is not None:
                 moduli[cert.modulus] += 1
     assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
+
+
+def test_the_papers_two_halves_on_the_wide_census():
+    # elements <= 150, k in [-30, 30].  k = 2 (mod 4): modulus 4 settles
+    # every triple.  k = 5 (mod 8), the D(-3) class: a power of 2 settles a
+    # triple exactly when one of its elements is 4 (mod 8), and then 8 does
+    two_mod_4 = five_mod_8 = certified = 0
+    for k in range(-30, 31):
+        if k % 4 != 2 and k % 8 != 5:
+            continue
+        for elements in enumerate_triples(150, k):
+            t = DiophTuple(elements, k)
+            if k % 4 == 2:
+                assert find_certificate(t, 4).modulus == 4, t
+                two_mod_4 += 1
+                continue
+            cert = find_certificate(t, 2**12)
+            if any(e % 8 == 4 for e in elements):
+                assert cert.modulus == 8, t
+                certified += 1
+            else:
+                assert cert is None and all(e % 4 == 2 for e in elements), t
+            five_mod_8 += 1
+    assert (two_mod_4, five_mod_8, certified) == (798, 510, 381)
 
 
 @pytest.mark.parametrize(

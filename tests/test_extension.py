@@ -752,7 +752,7 @@ class TestBruteForceSearch:
         assert walked == [41]
         assert report.candidates == ()
         walked.clear()
-        # the estimate ignores rho(8) = 4: 8 + 4 * 353 values, not 1 + 1000
+        # the rule ignores rho(8) = 4: 8 walks 1413 points on 4 roots, not 1000
         report = brute_force_search(T_1_3_8, 10**6)
         assert walked == [8]
         assert repr(report) == repr(reference_smallest_element_walk(T_1_3_8, 10**6))

@@ -31,6 +31,11 @@ CAP = str(2**200)
 # the Pell right-hand side k*b*(b - a) = 2*(p + 2) of {p, p + 2, 4p + 4} has
 # the 14-digit cofactor p + 2, with no prime factor up to 10^6
 P = 10**13 + 35
+# at max_m 10^13 every element is <= max_m, so the brute-force walk starts
+# from the roots of r^2 = 1 (mod e) for e = 10^12 = 2^12 * 5^12, and for
+# e = 10^12 + 39, a prime above 10^12, factorize cannot find them
+MAX_M = str(10**13)
+Q = 10**12 + 39
 
 ROWS = [
     # the layer stressed, the arguments, the exit code, the start of stderr
@@ -46,6 +51,12 @@ ROWS = [
     pytest.param("brute force", ["extend", "--set", "1000000000000,1000000000002,4000000000004",
                                  "--k", "1", "--strategy", "brute", "--max-m", "10000"], 4, b"",
                  id="elements-above-max-m"),
+    pytest.param("brute force", ["extend", "--set", "1000000000000,1000000000002,4000000000004",
+                                 "--k", "1", "--strategy", "brute", "--max-m", MAX_M], 4, b"",
+                 id="elements-below-max-m"),
+    pytest.param("brute force", ["extend", "--set", f"{Q},{Q + 2},{4 * Q + 4}", "--k", "1",
+                                 "--strategy", "brute", "--max-m", MAX_M], 2,
+                 b"error: cannot factor ", id="large-prime-element-below-max-m"),
     pytest.param("factoring", ["extend", "--set", f"{P},{P + 2},{4 * P + 4}", "--k", "1"], 2,
                  b"error: cannot factor ", id="large-prime-in-N"),
     pytest.param("unit equation", ["pell", "--d", "9999889", "--count", "1"], 0, b"",

@@ -12,8 +12,6 @@ from dioph.pell import (
     PellProblem,
     PellSolution,
     _class_points,
-    _crt,
-    _roots_mod_prime_power,
     fundamental_solution,
     solve_general,
 )
@@ -285,15 +283,6 @@ class TestSolveGeneral:
             assert unit[0] ** 2 - D * unit[1] ** 2 == 1 and unit[1] >= 1, (D, N)
             soluble += bool(classes)
         assert soluble > len(grid) // 4
-
-    def test_a_prime_power_dividing_f_fully_keeps_each_root(self):
-        # when p**h in f takes all of p**e from N, the modulus left is
-        # p**0 = 1: its one root is 0, and combining with it changes no root
-        for p in (2, 3, 5, 7, 97):
-            for D in (0, 1, 2, 3, 5, 50, 2**25, 10**30 + 7):
-                assert _roots_mod_prime_power(D, p, 0) == [0], (D, p)
-        for n, zs in [(1, [0]), (7, [3, 4]), (8, [1, 3, 5, 7]), (45, [10, 35, 44])]:
-            assert _crt(zs, n, [0], 1) == zs, (n, zs)
 
     def test_square_discriminant_points_match_the_box(self):
         # a square D = d^2 has finitely many solutions with x, y >= 0, each

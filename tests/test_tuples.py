@@ -142,7 +142,7 @@ class TestSquarePoints:
 
     def test_matches_per_m_enumeration(self):
         # a on both sides of max_m, where the starts switch from the
-        # residues below a to the roots of each square a*m + k; k below
+        # roots of rho^2 = k (mod a) to the roots of each square a*m + k; k below
         # -a*max_m leaves no point, and k = a^2 puts a root at a
         cases = 0
         for max_m in (1, 2, 7, 100):
@@ -159,6 +159,13 @@ class TestSquarePoints:
         a = 10**12
         for e in (a, a + 2, 4 * a + 4):
             assert sorted(square_points(e, 1, 10**4)) == self.per_m(e, 1, 10**4), e
+
+
+    @pytest.mark.parametrize("a,max_m", [(0, 10), (-3, 10), (0, -1), (-3, -5)])
+    def test_nonpositive_a_rejected(self, a, max_m):
+        # a < 1 has no walk, whether or not it is above max_m
+        with pytest.raises(ValueError, match=f"got a={a}$"):
+            list(square_points(a, 1, max_m))
 
 
 class TestEnumerateTriples:
