@@ -206,11 +206,13 @@ def _sqrt_mod_prime(u: int, p: int) -> int | None:
     while odd % 2 == 0:
         odd //= 2
         twos += 1
+    t, w = pow(u, odd, p), pow(u, (odd + 1) // 2, p)
+    if t == 1:  # always so for p = 3 (mod 4); no non-residue is needed
+        return w
     c = 2
     while pow(c, (p - 1) // 2, p) == 1:
         c += 1
     c = pow(c, odd, p)
-    t, w = pow(u, odd, p), pow(u, (odd + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

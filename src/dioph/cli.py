@@ -337,7 +337,8 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
 
 # the census's fixed search settings, unit-index depth and modulus cap: no
 # triple with elements <= 150 and |k| <= 30 changes its verdict at depth 30
-# and cap 10^5
+# and cap 10^5.  For the cap that holds for every k with v_2(k) <= 5, proved:
+# the scan ends by 2^(v_2(k)+4) <= 512 = 2^9, so no cap certifies more
 _CENSUS_BOUND_INDEX = 15
 _CENSUS_MAX_MODULUS = 512
 

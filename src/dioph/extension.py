@@ -428,29 +428,83 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
     once the scan finds its least common residue m, m stays common up to
     the smallest depth d of its three values and fails at d + 1, so the
     scan goes straight to level d + 1 and resumes at m + 1: every level it
-    skips would have found the same m on its first test.  When the
-    smallest depth passes the last level under the cap, the scan returns
-    None, its one exit without a certificate.
+    skips would have found the same m on its first test.  The last level
+    is v + 4, with v = v_2(k), or the cap's if that is lower.  When the
+    smallest depth passes it, the scan returns None, its one exit without
+    a certificate, at the least residue common mod the last power.
 
-    The scan decides the 2-adic question: it returns None at a cap only
-    when no power of 2 up to the cap certifies.  Suppose no power of 2
-    certifies at all.  The residues common mod 2^j, for j = 1, 2, ..., form
-    nonempty finite sets, each reducing into the one before, so by
-    compactness some m in Z_2 is common mod every 2^j.  At most one e*m + k
-    is 0, since the elements are distinct.  If e*m + k = 0, take
-    m' = m + e*s^2 with s != 0 in Z_2: then e*m' + k = (e*s)^2, and each
-    other value moves by e*e'*s^2, which leaves that nonzero square a square
-    once v_2(s) is large enough.  So some common m has all three values
-    nonzero.  With V the largest 2-adic valuation of the three, every
-    m'' = m (mod 2^(V+3)) keeps each value's valuation and its odd part
-    mod 8, so it is common too, and so is the least nonnegative integer n
-    in that class.  The least common residues never decrease and stay at or
-    below n, so they settle on an integer m0 common mod every power of 2;
-    no smaller nonnegative integer is, since it would have been found first.
-    Every value at m0 is then 0 or a square in Z_2, so its three depths are
-    infinite, and a cap ends the scan undecided only by being too small:
-    the scan stops at the least nonnegative integer m at which every
-    e*m + k is 0 or a square in Z_2.
+    The scan decides the 2-adic question: no power of 2 certifies a triple
+    that 2^(v+4) leaves uncertified.  Call m in Z_2 a point when every
+    e*m + k is 0 or a square in Z_2; a point is common mod every 2^j.  It
+    is enough to turn an m common mod 2^(v+4) into a point.  Write
+    k = 2^v*kap, with kap odd.  Three points come for free; at m = x the
+    other two values e*x + k are integer squares, as t is a D(k) triple:
+    P0. k is a square in Z_2 (v even, kap = 1 mod 8): m = 0.
+    P1. An element x has 2*v_2(x) + 3 <= v: m = x, as x^2 + k =
+        x^2*(1 + k/x^2) with k/x^2 = 0 (mod 8).
+    P2. kap = 5 (mod 8) and an element x has 2*v_2(x) = v + 2: m = x, as
+        x^2 + k = 2^v*(kap + 4*u^2) = 2^v (mod 2^(v+3)) for an odd u.
+    A finite depth is at most the value's valuation + 2, so each value at
+    m either has valuation at least v + 2 or is a nonzero square in Z_2
+    with valuation at most v + 1.  Let H be the elements whose value is of
+    the first kind (a zero value counts).  For e in H, v_2(e*m) = v, so
+    m != 0, and every e in H has the same a = v_2(e) = v - b, b = v_2(m).
+    |H| = 0.  m is a point.
+    |H| = 1, H = {e}.  Each other element f has a value of valuation
+       w_f <= v + 1 with w_f - v_2(f) - b <= 1: w_f = v_2(f*m) if that is
+       below v, w_f = v if it is above, and w_f = v + 1 if it equals v.  So
+       T = max(0, max over f of w_f + 3 - v_2(f)) <= b + 4, a + T <= v + 4,
+       and e*m + k = s^2 (mod 2^(a+T)) for some s.  Then
+       m + (s^2 - e*m - k)/e is a point: e's value becomes s^2, and each
+       other value moves by a multiple of 2^(w_f + 3), which keeps that
+       nonzero square a square.
+    |H| >= 2, with e != f in H.  Write e = 2^a*eps and f = 2^a*phi, with
+       eps and phi odd.  (e - f)*m = 0 (mod 2^(v+2)), so e = f
+       (mod 2^(a+2)) and eps*phi = 1 (mod 4), and e*f + k =
+       2^(2a)*eps*phi + 2^v*kap is 0 or a square in Z_2.  By a - b = 2a - v:
+       - a - b <= -3: P1 with x = e.
+       - a - b = 1 or -1: e*f + k has an odd valuation, or the odd part
+         eps*phi + 2*kap = 3 (mod 4); neither is possible.
+       - a - b >= 3: e*f + k = k (mod 2^(v+3)), so k is a square: P0.
+       - a - b = 2: e*f + k = 2^v*(kap + 4*eps*phi) gives kap = 5 (mod 8),
+         and 2*a = v + 2: P2 with x = e.
+       - a - b = -2: e*f + k = 2^(2a)*(eps*phi + 4*kap) gives
+         eps*phi = 5 (mod 8).  Let g be the third element.  If
+         v_2(g) < a, P1 holds with x = g.  v_2(g) = a is impossible: e*g + k
+         and f*g + k would give eps*gam = phi*gam = 5 (mod 8) for g's odd
+         part gam in the same way, so eps*phi = 1 (mod 8).  v_2(g) = a + 1
+         gives e*g + k an odd valuation.  If v_2(g) >= a + 2, g's value
+         2^v*(kap + g*m/2^v) is a nonzero square, and g*m/2^v is 4 (mod 8)
+         when v_2(g) = a + 2, so kap = 5 and P2 holds with x = g, and
+         0 (mod 8) beyond, so kap = 1: P0.
+       - a - b = 0: v = 2a, and the even e*f + k = 2^v*(eps*phi + kap)
+         gives kap = 3 (mod 4).  If the third element g is in H too, its
+         odd part is eps (mod 4) as well, and m = 2^(a+1)*u with u odd and
+         2*eps*u = 1 - kap (mod 8) is a point: each value is
+         2^v*(2*eps*u + kap) = 2^v (mod 2^(v+3)).  Otherwise g's value is
+         a nonzero square of valuation at most v, and only v_2(g) = a + 1
+         leaves one: v_2(g) <= a - 2 is P1, a - 1 gives the odd valuation
+         v - 1, a a valuation above v, and a + 2 or more the odd part
+         kap = 3 (mod 4).  Write m = 2^a*mu and move to
+         m_y = 2^a*(y^2 - kap)/eps for an even y in Z_2.  e's value becomes
+         2^v*y^2.  g's value moves by g*2^a*(y^2 - eps*mu - kap)/eps, a
+         multiple of 2^(v+3), since e's value 2^v*(eps*mu + kap) has
+         valuation at least v + 2; so it stays a square.  f's value is
+         2^v/eps^2 times P*y^2 - 2^beta*R, where P = eps*phi,
+         beta = v_2(phi - eps) >= 2 and R = kap*eps*(phi - eps)/2^beta
+         is odd.  The values of e and f over 2^v have depth at least 4 at
+         m, so each has valuation 2 and odd part 1 (mod 4), or valuation
+         at least 4; they differ by (phi - eps)*mu, so beta is 2 or at
+         least 4.  If beta is odd, then beta >= 5 and P = eps^2 = 1
+         (mod 8), and y = 2 gives 4*(P - 2^(beta-2)*R), a square.  If beta
+         is even: R = 7 (mod 8) takes y = 0, for -2^beta*R; R = 3 (mod 8)
+         takes y = 2^(beta/2 + 1), for 2^beta*(4*P - R); and R = 1 (mod 4)
+         takes y = 2^(beta/2)*y' with y'^2 whichever of R/P and (R + 4)/P
+         is 1 (mod 8), for 0 or 2^(beta + 2).
+    So the first certifying power of 2, if any, is at most 2^(v+4), and a
+    cap above it changes nothing.  The bound is reached: {2, 5, 13} with
+    k = -1 certifies first at 16, and {16, 96, 144} with k = -1280 first
+    at 2^12.
     """
     _require_bound("max_modulus", max_modulus, 2)
     _require_verified_triple(t)
@@ -460,7 +514,8 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
 def _scan_moduli(t: DiophTuple, max_modulus: int) -> ModularCertificate | None:
     # find_certificate's scan, for a D(k) triple that is already verified
     (e1, e2, e3), k = t.elements, t.k
-    top = max_modulus.bit_length() - 1  # the last level under the cap
+    # the last level: the cap's, or v_2(k) + 4, past which none certifies
+    top = min(max_modulus.bit_length() - 1, (k & -k).bit_length() + 3)
     depth = _square_depth
     m = 0  # the least residue common mod 2^(j-1); it fails at level j
     j = depth(k) + 1

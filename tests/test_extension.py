@@ -230,6 +230,13 @@ def is_2_adic_square_or_zero(x):
     return v % 2 == 0 and x % 8 == 1
 
 
+def least_2_adic_point(t):
+    """The least m >= 0 at which every e*m + k is 0 or a square in Z_2,
+    found by a plain walk; none of the triples tested needs 2^12 steps."""
+    return next(m for m in range(1 << 12)
+                if all(is_2_adic_square_or_zero(e * m + t.k) for e in t.elements))
+
+
 def has_common_root_off_the_integers(t):
     """Some root -k/e is in Z_2, is no nonnegative integer, and makes the
     other two values, k*(e - f)/e, squares in Z_2."""
@@ -1049,35 +1056,97 @@ class TestFindCertificate:
 
     def test_no_wide_census_certificate_lies_above_2_to_the_9(self):
         # every wide-census triple (elements <= 150, |k| <= 30) is decided
-        # below 2^10: a cap of 2^64 gives the certificate of cap 512, or None
+        # below 2^10: a cap of 2^64 gives the certificate of cap 512, or None.
+        # Both scans stop by 2^(v_2(k) + 4) <= 2^9; that no later power
+        # certifies is the 2-adic point witnessed in
+        # test_uncertified_scan_stops_at_level_v_plus_4
         triples = wide_census_triples()
         assert len(triples) == 3764
         for t in triples:
             assert find_certificate(t, 1 << 64) == find_certificate(t, 512), t
 
-    def test_scan_stops_at_the_least_2_adic_point(self, depth_values):
+    def test_uncertified_scan_stops_at_level_v_plus_4(self, depth_values):
         # find_certificate's decision on the wide census: each scan without
-        # a certificate at cap 2^64 reads its last depths at the least
-        # m >= 0 with every e*m + k 0 or a square in Z_2, found here by a
-        # plain walk; 349 of these triples also have a common 2-adic point
-        # -k/e that is no nonnegative integer, and stop at an integer all
-        # the same
+        # a certificate at cap 2^64 reads its last depths at the least m >= 0
+        # common mod 2^(v+4), v = v_2(k), found here by plain enumeration.
+        # {2, 27, 39} with k = -29 stops at m = 7, where -15, 160 and 244
+        # are squares mod 16, though its least 2-adic point is 87
         stops = []
-        at_roots = 0
         for t in wide_census_triples():
             depth_values.clear()
             if find_certificate(t, 1 << 64) is not None:
                 continue
-            m = 0
-            while not all(is_2_adic_square_or_zero(e * m + t.k) for e in t.elements):
-                m += 1
+            j = (t.k & -t.k).bit_length() + 3
+            squares = squares_mod_2_to(j)
+            m = next(m for m in range(1 << j)
+                     if all((e * m + t.k) % (1 << j) in squares for e in t.elements))
             # at m = 0 every value is k, read once
             last = [t.k] if m == 0 else [e * m + t.k for e in t.elements]
             assert depth_values[-len(last):] == last, (t, m)
-            stops.append(m)
-            at_roots += has_common_root_off_the_integers(t)
-        assert max(stops) == 1822
-        assert at_roots == 349
+            stops.append((t, m))
+        assert (DiophTuple((2, 27, 39), -29), 7) in stops
+        assert len(stops) == 2015
+        # the theorem's witness: each of these triples has an integer m0 >= 0
+        # at which every e*m0 + k is 0 or a square in Z_2, so no power of 2
+        # certifies it; 349 of them also have a common 2-adic point -k/e
+        # that is no nonnegative integer
+        assert max(least_2_adic_point(t) for t, _ in stops) == 1822
+        assert least_2_adic_point(DiophTuple((2, 27, 39), -29)) == 87
+        assert sum(has_common_root_off_the_integers(t) for t, _ in stops) == 349
+
+    def test_uncertified_pool_triples_have_integer_2_adic_points(self):
+        # the same witness on the benchmark pool (elements <= 300, |k| <= 8)
+        uncertified = [t for t in benchmark_pool() if find_certificate(t, 1 << 64) is None]
+        assert len(uncertified) == 1256
+        assert max(least_2_adic_point(t) for t in uncertified) == 1151
+
+    def test_residue_classes_need_no_level_past_v_plus_4(self):
+        # the bound on residues alone: for v = v_2(k) <= 4 and every odd part
+        # kap mod 8, no multiset e1 <= e2 <= e3 of residues mod 2^(v+6) whose
+        # three pair values are squares mod 2^(v+6) has a residue common mod
+        # 2^(v+4) and none mod 2^(v+6).  kap mod 8 covers every k = 2^v*kap'
+        # with kap' = kap (mod 8): an odd u with u^2*kap' = kap (mod 2^6)
+        # exists, and (e, k, m) -> (u*e, u^2*k, u*m) multiplies every value
+        # e*m + k and every pair value by the square u^2
+        for v in range(5):
+            L, N = v + 4, v + 6
+            Q, low_Q = 1 << N, 1 << L
+            for kap in (1, 3, 5, 7):
+                k = kap << v
+                squares, low_squares = squares_mod_2_to(N), squares_mod_2_to(L)
+                # bit m of allowed[e] (m < 2^N) and of low[e] (m < 2^L): e*m + k
+                # is a square mod 2^N, mod 2^L; read at m = f, bit f of
+                # allowed[e] says that the pair value e*f + k is one mod 2^N
+                allowed = [sum(1 << m for m in range(Q) if (e * m + k) % Q in squares)
+                           for e in range(Q)]
+                low = [sum(1 << m for m in range(low_Q) if (e * m + k) % low_Q in low_squares)
+                       for e in range(low_Q)]
+                kinds = {}  # the residues e3, grouped by their two masks
+                for e in range(Q):
+                    key = (low[e % low_Q], allowed[e])
+                    kinds[key] = kinds.get(key, 0) | 1 << e
+                stuck = {}  # for a pair's masks, the e3 common with it mod 2^L only
+                for e1 in range(Q):
+                    for e2 in range(e1, Q):
+                        if not allowed[e1] >> e2 & 1:
+                            continue
+                        pair = (low[e1 % low_Q] & low[e2 % low_Q], allowed[e1] & allowed[e2])
+                        if pair not in stuck:
+                            stuck[pair] = sum(mask for (lo, al), mask in kinds.items()
+                                              if pair[0] & lo and not pair[1] & al)
+                        bad = stuck[pair] & pair[1] >> e2 << e2
+                        assert not bad, (v, kap, e1, e2, (bad & -bad).bit_length() - 1)
+
+    def test_the_last_level_v_plus_4_is_reached(self):
+        # {2, 5, 13} with k = -1 (v = 0) certifies first at 16, and
+        # {16, 96, 144} with k = -1280 (v = 8) first at 2^12: no certificate
+        # at cap 2^(v+3), and the same one at 2^(v+4) and at 2^64
+        for t, v in [(DiophTuple((2, 5, 13), -1), 0), (DiophTuple((16, 96, 144), -1280), 8)]:
+            assert find_certificate(t, 1 << (v + 3)) is None
+            cert = find_certificate(t, 1 << (v + 4))
+            assert cert.modulus == 1 << (v + 4)
+            assert find_certificate(t, 1 << 64) == cert
+            assert verify_certificate(cert, t)
 
     def test_certifies_without_factoring_k(self):
         # k = 2*G^2 with G = 10^12 + 39 a prime above the trial-division
@@ -1092,7 +1161,7 @@ class TestFindCertificate:
         # a depth is read from the value alone, so a cap of 2^(2^23), built
         # before tracing starts, costs what 10^12 does: {7, 14, 41}
         # certifies at 4, {2, 6, 14} stops at m = 2, and {4, 54, 86} stops
-        # after the wide census's longest scan
+        # at its last level v_2(-20) + 4 = 6
         caps = (10**12, 1 << (1 << 23))
         cases = [(T_7_14_41, 4), (DiophTuple((2, 6, 14), -3), None),
                  (DiophTuple((4, 54, 86), -20), None)]
