@@ -18,14 +18,17 @@ TRIAL_DIVISION_BOUND = 10**6
 
 # Squares land on only 44 of the 256 residues mod 256, 16 of the 63 mod 63,
 # 21 of the 65 mod 65, 6 of the 11 mod 11, and (p + 1)/2 of the p mod each
-# prime p = 17, 19, 23 and 29.  The tables reject all but
+# prime p = 17, 19, 23, 29, 31, 37, 41 and 43.  The tables run in three
+# stages, each on one residue below 2^30: the first reads n mod
+# 256*45045 = 256*63*65*11 as two tables, n mod 256 and n mod 45045, the
+# second n mod 215441 = 17*19*23*29 and the third n mod 2022161 =
+# 31*37*41*43.  A stage passes n exactly when it passes n's residue, so the
+# Pell walk of dioph.extension runs them on its members' residues mod
+# _SQUARE_MODULI.  The first two reject all but
 # 44*16*21*6*9*10*12*15 / (256*63*65*11*17*19*23*29), about 1/1729, of
-# uniformly random values before a root is computed (the first four alone
-# leave 1/130).  They run in two stages, each on one residue below 2^30:
-# the first four read n mod 256*45045 = 256*63*65*11, the last four
-# n mod 215441 = 17*19*23*29.  A stage passes n exactly when it passes
-# n's residue, so the Pell walk of dioph.extension runs them on its
-# members' residues mod _SQUARE_MODULI.
+# uniformly random values (the first alone leaves 1/130), and
+# is_perfect_square reads only those two before it computes a root; the
+# third leaves about 1/14 of what passes them.
 _SQUARES_MOD_256 = bytearray(256)
 _SQUARES_MOD_63 = bytearray(63)
 _SQUARES_MOD_65 = bytearray(65)
@@ -34,21 +37,24 @@ _SQUARES_MOD_17 = bytearray(17)
 _SQUARES_MOD_19 = bytearray(19)
 _SQUARES_MOD_23 = bytearray(23)
 _SQUARES_MOD_29 = bytearray(29)
+_SQUARES_MOD_31 = bytearray(31)
+_SQUARES_MOD_37 = bytearray(37)
+_SQUARES_MOD_41 = bytearray(41)
+_SQUARES_MOD_43 = bytearray(43)
 for _table in (_SQUARES_MOD_256, _SQUARES_MOD_63, _SQUARES_MOD_65, _SQUARES_MOD_11,
-               _SQUARES_MOD_17, _SQUARES_MOD_19, _SQUARES_MOD_23, _SQUARES_MOD_29):
+               _SQUARES_MOD_17, _SQUARES_MOD_19, _SQUARES_MOD_23, _SQUARES_MOD_29,
+               _SQUARES_MOD_31, _SQUARES_MOD_37, _SQUARES_MOD_41, _SQUARES_MOD_43):
     for _r in range(len(_table)):
         _table[_r * _r % len(_table)] = 1
 del _table, _r
+# the tables mod 63, 65 and 11 as one: byte r of each table repeated to
+# 45045 bytes is its entry at r mod its length, and the bytes are 0 or 1,
+# so the AND of the three as integers is the AND entry by entry
+_SQUARES_MOD_45045 = (int.from_bytes(_SQUARES_MOD_63 * 715, "big")
+                      & int.from_bytes(_SQUARES_MOD_65 * 693, "big")
+                      & int.from_bytes(_SQUARES_MOD_11 * 4095, "big")).to_bytes(45045, "big")
 
-_SQUARE_MODULI = (256 * 45045, 215441)
-
-
-def _first_square_stage(n: int) -> bool:
-    # False only when n >= 0 is no square by the tables mod 256, 63, 65 and 11
-    if not _SQUARES_MOD_256[n & 255]:
-        return False
-    res = n % 45045
-    return bool(_SQUARES_MOD_63[res % 63] and _SQUARES_MOD_65[res % 65] and _SQUARES_MOD_11[res % 11])
+_SQUARE_MODULI = (256 * 45045, 215441, 2022161)
 
 
 def _second_square_stage(n: int) -> bool:
@@ -58,12 +64,20 @@ def _second_square_stage(n: int) -> bool:
                 and _SQUARES_MOD_23[res % 23] and _SQUARES_MOD_29[res % 29])
 
 
+def _third_square_stage(n: int) -> bool:
+    # False only when n >= 0 is no square by the tables mod 31, 37, 41 and 43
+    res = n % 2022161
+    return bool(_SQUARES_MOD_31[res % 31] and _SQUARES_MOD_37[res % 37]
+                and _SQUARES_MOD_41[res % 41] and _SQUARES_MOD_43[res % 43])
+
+
 def is_perfect_square(n: int) -> int | None:
     """The nonnegative square root of n, or None when n is not a perfect square.
 
     Negative n is never a perfect square.
     """
-    if n < 0 or not (_first_square_stage(n) and _second_square_stage(n)):
+    if n < 0 or not (_SQUARES_MOD_256[n & 255] and _SQUARES_MOD_45045[n % 45045]
+                     and _second_square_stage(n)):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None

@@ -26,7 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, inf, isqrt
 
-from .arith import _SQUARE_MODULI, _first_square_stage, _second_square_stage, is_perfect_square
+from .arith import (
+    _SQUARE_MODULI,
+    _SQUARES_MOD_256,
+    _SQUARES_MOD_45045,
+    _second_square_stage,
+    _third_square_stage,
+    is_perfect_square,
+)
 from .pell import _class_points
 from .tuples import DiophTuple, _pair_roots, _root_walks
 
@@ -184,23 +191,46 @@ def pell_extension_search(t: DiophTuple, max_index: int) -> SearchReport:
     member of a live class.
 
     Most members are no square, and the walk finds them without their
-    exact w.  dioph.arith's square filter runs in two stages, the first on
-    w mod M1 = 256*45045 and the second on w mod M2 = 215441, together
-    w mod R with R = M1*M2 = 256*45045*215441; M1 and M2 are below 2^30,
-    so the residues are small integers.  Each class runs the recurrence
-    on w mod M1 through every member, on w mod M2 only up to the last
-    member whose residue mod M1 passes the first stage or equals c's own
-    value (c^2 + k) mod M1, and on w itself only up to the last member
-    that also passes the second stage or matches (c^2 + k) mod M2.  Only
-    those members are looked up among the c*e + k, compared with k and
-    tested for a square.  Nothing that the report lists is skipped: an
-    integer square is a square modulo every modulus, so every candidate
-    passes both stages; the self-hits of a and b are squares, since
-    c*a + k and c*b + k are (t is a D(k) triple); and c's own value
-    c^2 + k, which need not be a square, matches its own residues.  The
-    filter passes about 1 in 1730 uniformly random values, so the exact
-    recurrence seldom runs past the last member that is a square or c's
-    own value, however large w grows.
+    exact w.  dioph.arith's square filter runs in three stages, on
+    w mod M1 = 256*45045, w mod M2 = 215441 and w mod M3 = 2022161 =
+    31*37*41*43; each modulus is below 2^30, so the residues are small
+    integers.  Each class runs the recurrence on w mod M1 through every
+    member, on w mod M2 only up to the last member whose residue mod M1
+    passes the first stage, on w mod M3 only up to the last member that
+    also passes the second, and on w itself only up to the last member that
+    passes all three.  A residue equal to that of c's own value c^2 + k
+    passes its stage too, except in a class whose w at index 1 exceeds
+    c^2 + k.  Only the members that pass are looked up among the c*e + k,
+    compared with k and tested for a square.  Nothing that the report
+    lists is skipped: an integer square is a square modulo every modulus,
+    so every candidate passes the three stages; the self-hits of a and b
+    are squares, since c*a + k and c*b + k are (t is a D(k) triple); and
+    c's own value c^2 + k, which need not be a square, matches its own
+    residues wherever the walk can still meet it.
+
+    The own-value test stops once the walk has passed c^2 + k.  Along a
+    class |Y| falls and then rises (dioph.pell._least_member's docstring),
+    so from the member of least |Y| on it does not fall.  Every member has
+    b*m + k = Y^2, so m and w = c*m + k do not fall either.  And c^2 + k is
+    the largest of the values c*e + k, as a < b < c.  So in a class whose w
+    at index 1 exceeds c^2 + k, no member past index 0 is a self-hit, and a
+    match with c's own residues there carries no information.  The seeds
+    are exact, so each class pays two comparisons: its w at index 0 is
+    compared with c^2 + k, a self-hit of c when they are equal, and its w
+    at index 1 decides whether its own residues are those of c^2 + k or -1,
+    which no residue equals.
+
+    The first two stages pass about 1 in 1730 uniformly random values, and
+    all three about 1 in 24 900, but the walked values are far from
+    uniform.  Over the 2033 D(k) triples with elements <= 300 and
+    1 <= |k| <= 8, at index 30 (7654 live classes, 237 274 members), the
+    first stage passes 10.2% of the members, the first two 3.4% and all
+    three 1.9%, and the walk makes 12 588 exact steps.  The cutoff and the
+    third stage matter on large units: on {7168, 14336, 41984} with
+    k = 2^21 (a unit of 1176 digits) all of the 5827 exact steps that the
+    own-value test would call for lie past the cutoff, and on
+    {7, 83, 138}*2^8 the cutoff leaves 3333 of 4202 and the third stage
+    none.  So on both the walk steps no member exactly.
 
     When a*b happens to be a perfect square the reduced equation factors and
     has finitely many solutions; _class_points lists them as classes of one
@@ -233,14 +263,17 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
     # verified; each class is walked by w = c*m + k through the recurrence
     # of that function's docstring, seeded at its least member and the two
     # members beside it.  r = w mod M1 steps through every member; s = w mod
-    # M2 catches up with it only at a member whose r passes, and w only at
-    # one whose s passes too.  m > 0 exactly when w > k; an m may come more
+    # M2 catches up with it only at a member whose r passes, u = w mod M3
+    # only at one whose s passes too (seeded at the first such member), and
+    # w only at one whose u passes as well.  own1..own3 are the residues of
+    # c's own value, or -1, which no residue equals, in a class whose w has
+    # passed it by index 1.  m > 0 exactly when w > k; an m may come more
     # than once (the unit (1, 0) of a square a*b repeats its point)
     a, b, c = t.elements
     k = t.k
-    M1, M2 = _SQUARE_MODULI
+    M1, M2, M3 = _SQUARE_MODULI
     hits = {c * e + k: e for e in t.elements}
-    own1, own2 = (c * c + k) % M1, (c * c + k) % M2
+    own = c * c + k
     found: dict[int, ExtensionCandidate] = {}
     self_hits = set()
     for x, Y, x1, y1 in _live_classes(a, b, k):
@@ -248,24 +281,35 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
         w0 = c * ((xb * xb - k) // a) + k
         w = c * ((x * x - k) // a) + k
         w1 = c * ((xf * xf - k) // a) + k
+        if w == own:
+            self_hits.add(c)
+        own1, own2, own3 = (-1, -1, -1) if w1 > own else (own % M1, own % M2, own % M3)
         q = 4 * x1 * x1 - 1
         r0, r, r1, q1 = w0 % M1, w % M1, w1 % M1, q % M1
         s0, s, s1, q2 = w0 % M2, w % M2, w1 % M2, q % M2
         s_at = w_at = 0  # the members s and w stand at
+        u_at = -1  # u is not seeded yet
         for n in range(max_index + 1):
-            if r == own1 or _first_square_stage(r):
+            if r == own1 or (_SQUARES_MOD_256[r & 255] and _SQUARES_MOD_45045[r % 45045]):
                 for _ in range(n - s_at):
                     s0, s, s1 = s, s1, (q2 * (s1 - s) + s0) % M2
                 s_at = n
                 if s == own2 or _second_square_stage(s):
-                    for _ in range(n - w_at):
-                        w0, w, w1 = w, w1, q * (w1 - w) + w0
-                    w_at = n
-                    if w in hits:
-                        self_hits.add(hits[w])
-                    elif w > k and (rc := is_perfect_square(w)) is not None:
-                        m = (w - k) // c
-                        found[m] = ExtensionCandidate(m, {a: isqrt(a * m + k), b: isqrt(b * m + k), c: rc})
+                    if u_at < 0:  # w still stands at the least member
+                        u0, u, u1, q3, u_at = w0 % M3, w % M3, w1 % M3, q % M3, 0
+                    for _ in range(n - u_at):
+                        u0, u, u1 = u, u1, (q3 * (u1 - u) + u0) % M3
+                    u_at = n
+                    if u == own3 or _third_square_stage(u):
+                        for _ in range(n - w_at):
+                            w0, w, w1 = w, w1, q * (w1 - w) + w0
+                        w_at = n
+                        if w in hits:
+                            self_hits.add(hits[w])
+                        elif w > k and (rc := is_perfect_square(w)) is not None:
+                            m = (w - k) // c
+                            roots = {a: isqrt(a * m + k), b: isqrt(b * m + k), c: rc}
+                            found[m] = ExtensionCandidate(m, roots)
             r0, r, r1 = r, r1, (q1 * (r1 - r) + r0) % M1
     candidates = tuple(found[m] for m in sorted(found))
     return SearchReport(t, "pell_sequence", max_index, candidates, tuple(sorted(self_hits)))
@@ -285,7 +329,7 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     walks 8 (1413 points), not 1 (1000).
 
     The walk is sieved by a wheel mod 16, and only the points it keeps get
-    the exact square tests of the other two elements x and y.  On the walk
+    the square tests of the other two elements x and y.  On the walk
     r = rho, rho + e, ... of one root rho of r^2 = k (mod e), the point
     m = (r^2 - k)/e moves by ((r + 16*e)^2 - r^2)/e = 32*r + 256*e over 16
     steps, a multiple of 16; so m mod 16, and with it x*m + k and y*m + k
@@ -293,13 +337,18 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
     each root walk (all of them, if it has fewer), plus every 16th point
     from each kept one: it keeps the points among the first 16 at which
     x*m + k and y*m + k are both squares mod 16, that is 0, 1, 4 or 9, and
-    tests each kept point and every 16th point after it, its walk in steps
-    of 16*e.  This is sound because an integer square is a square mod 16:
-    a point the wheel drops makes x*m + k or y*m + k a non-square, so it
-    extends nothing.  At max_m = 10^6, {1, 3, 8} with
-    k = 1 reads 64 wheel points and tests 176 of the walk's 1413 points
-    exactly; {7, 14, 41} with k = 2 reads 32 and tests none of 312, since
-    no m makes 7*m + 2, 14*m + 2 and 41*m + 2 all squares mod 4.  The
+    visits each kept point and every 16th point after it, its walk in
+    steps of 16*e.  Both residues depend on m mod 16 alone, so the 16
+    answers are worked out once per triple.  This is sound because an
+    integer square is a square mod 16: a point the wheel drops makes
+    x*m + k or y*m + k a non-square, so it extends nothing.  At a kept
+    point x*m + k is read in dioph.arith's table of the squares mod
+    45045 = 63*65*11 and tested exactly only if it passes; y*m + k is read
+    and tested likewise, only where x*m + k is a square and m is no element.
+    At max_m = 10^6, {1, 3, 8} with k = 1 reads 64 wheel points, keeps 176
+    of the walk's 1413 points and tests 27 of them exactly; {7, 14, 41}
+    with k = 2 reads 32 and keeps none of 312, since no m makes 7*m + 2,
+    14*m + 2 and 41*m + 2 all squares mod 4.  The
     wheel cuts the exact tests, not the order of the cost: where it keeps
     points, the time still grows as sqrt(max_m), and {1, 3, 8} at
     max_m = 10^20 runs for about a quarter of an hour.
@@ -314,24 +363,31 @@ def brute_force_search(t: DiophTuple, max_m: int) -> SearchReport:
 def _brute_force_walk(t: DiophTuple, max_m: int) -> SearchReport:
     # brute_force_search's walk, for a D(k) triple that is already verified:
     # the wheel reads the first _WHEEL points of each root walk of e, and the
-    # i-th one, when x*m + k and y*m + k are squares mod _WHEEL there, walks
-    # on as walk[i::_WHEEL]; x is tested exactly first, then the elements
+    # i-th one, when x*m + k and y*m + k are squares mod _WHEEL there (kept[m
+    # mod _WHEEL], as they depend on m mod _WHEEL alone), walks on as
+    # walk[i::_WHEEL].  At each point x*m + k is read in dioph.arith's table
+    # mod 45045 and then tested exactly, and y*m + k likewise
     a, b, _ = elements = t.elements
     k = t.k
     e = min(elements, key=lambda e: min(e, max_m) + isqrt(max_m // e))
     x, y = (f for f in elements if f != e)
     squares = {r * r % _WHEEL for r in range(_WHEEL)}
+    kept = [(x * m + k) % _WHEEL in squares and (y * m + k) % _WHEEL in squares
+            for m in range(_WHEEL)]
     found = []
     for walk in _root_walks(e, k, max_m):
         for i, r in enumerate(walk[:_WHEEL]):
-            m = (r * r - k) // e
-            if (x * m + k) % _WHEEL not in squares or (y * m + k) % _WHEEL not in squares:
+            if not kept[(r * r - k) // e % _WHEEL]:
                 continue
             for r in walk[i::_WHEEL]:
                 m = (r * r - k) // e
-                if m < 1 or (rx := is_perfect_square(x * m + k)) is None or m in elements:
+                vx = x * m + k
+                if m < 1 or not _SQUARES_MOD_45045[vx % 45045] or (rx := is_perfect_square(vx)) is None:
                     continue
-                if (ry := is_perfect_square(y * m + k)) is not None:
+                vy = y * m + k
+                if m in elements or not _SQUARES_MOD_45045[vy % 45045]:
+                    continue
+                if (ry := is_perfect_square(vy)) is not None:
                     found.append(ExtensionCandidate(m, dict(sorted([(e, r), (x, rx), (y, ry)]))))
     found.sort(key=lambda cand: cand.m)
     # same diagnostic the pair-reduction strategy emits

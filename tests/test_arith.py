@@ -48,21 +48,33 @@ class TestIsPerfectSquare:
         expected = r if r * r == n else None
         assert is_perfect_square(n) == expected
 
-    @pytest.mark.parametrize("q", [256, 63, 65, 11, 17, 19, 23, 29])
+    @pytest.mark.parametrize("q", [256, 45045, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43])
     def test_residue_tables_hold_exactly_the_squares(self, q):
         table = getattr(arith, f"_SQUARES_MOD_{q}")
         assert len(table) == q
         assert {r for r in range(q) if table[r]} == {r * r % q for r in range(q)}
         # the stage that reads the table may read it from a residue mod its modulus
-        stage = 1 if q in (17, 19, 23, 29) else 0
-        assert arith._SQUARE_MODULI[stage] % q == 0
+        stage = [q in (256, 45045, 63, 65, 11), q in (17, 19, 23, 29), q in (31, 37, 41, 43)]
+        assert arith._SQUARE_MODULI[stage.index(True)] % q == 0
+
+    def test_mod_45045_table_is_the_and_of_the_tables_mod_63_65_and_11(self):
+        table = arith._SQUARES_MOD_45045
+        for r in range(45045):
+            assert table[r] == (arith._SQUARES_MOD_63[r % 63] and arith._SQUARES_MOD_65[r % 65]
+                                and arith._SQUARES_MOD_11[r % 11]), r
 
     @given(st.integers(min_value=0, max_value=10**40))
     def test_each_square_stage_reads_only_the_residue_of_its_modulus(self, n):
-        # the Pell walk runs the stages on its members' residues
-        first, second = arith._SQUARE_MODULI
-        assert arith._first_square_stage(n) == arith._first_square_stage(n % first)
+        # the Pell walk runs the stages on its members' residues; the first
+        # is read inline, from the tables mod 256 and mod 45045
+        first, second, third = arith._SQUARE_MODULI
+
+        def first_stage(v):
+            return bool(arith._SQUARES_MOD_256[v & 255] and arith._SQUARES_MOD_45045[v % 45045])
+
+        assert first_stage(n) == first_stage(n % first)
         assert arith._second_square_stage(n) == arith._second_square_stage(n % second)
+        assert arith._third_square_stage(n) == arith._third_square_stage(n % third)
 
     @given(st.one_of(
         st.integers(min_value=0, max_value=10**5000).flatmap(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.arith import _first_square_stage, factorize, is_perfect_square
+from dioph.arith import _SQUARES_MOD_45045, factorize, is_perfect_square
 from dioph.cli import main as cli_main
 from dioph.extension import (
     VERDICT_BOUNDED,
@@ -140,6 +140,34 @@ def reference_ladder(t, max_index):
         else:
             assert rungs.setdefault(m, (X // b, Y)) == (X // b, Y), (t, m)
     return dict(sorted(rungs.items())), tuple(sorted(hits))
+
+
+def exact_steps(t, max_index, tested):
+    """The exact recurrence steps of pell_extension_search(t, max_index),
+    read off the values it tested for a square.
+
+    A class steps its exact w from its least member up to the last member
+    it tests, and it tests every member it steps to (a w that is no
+    element's c*e + k and exceeds k goes to is_perfect_square), so the
+    steps are the sum over the classes of the index of the last member
+    whose w is in tested.  Members are told apart by w mod the prime
+    2^61 - 1, stepped by the recurrence of that function's docstring."""
+    P = 2**61 - 1
+    a, b, c = t.elements
+    k = t.k
+    tested = {v % P for v in tested}
+    steps = 0
+    for x, Y, x1, y1 in _live_classes(a, b, k):
+        xb, xf = x1 * x - a * y1 * Y, x1 * x + a * y1 * Y
+        w0, w, w1 = ((c * ((z * z - k) // a) + k) % P for z in (xb, x, xf))
+        q = (4 * x1 * x1 - 1) % P
+        last = 0
+        for n in range(max_index + 1):
+            if w in tested:
+                last = n
+            w0, w, w1 = w, w1, (q * (w1 - w) + w0) % P
+        steps += last
+    return steps
 
 
 def checked_ladder(t, max_index):
@@ -591,8 +619,23 @@ class TestPellExtensionSearch:
     def test_keeps_the_own_value_of_c_though_it_is_no_square(self):
         # at index 1 the self-hit 8 of {1, 3, 8} comes only from c's own
         # value, 65, which the square filter's first stage rejects (65 = 2 mod 9)
-        assert not _first_square_stage(8 * 8 + 1)
+        assert not _SQUARES_MOD_45045[8 * 8 + 1]
         assert pell_extension_search(T_1_3_8, 1).self_hits == (8,)
+
+    @pytest.mark.parametrize("t", [DiophTuple((7168, 14336, 41984), 2**21),
+                                   DiophTuple((1792, 21248, 35328), -327680)],
+                             ids=["7168,14336,41984 k=2^21", "7,83,138*2^8"])
+    def test_hard_walks_step_no_member_exactly(self, t, square_tested):
+        # each class's w passes c's own value c*c + k by index 1, so past the
+        # least member only the three square stages can call for an exact
+        # step, and on these walks (1024 and 768 live classes, units of 1176
+        # and 735 digits) no member passes them all
+        report = pell_extension_search(t, 30)
+        assert report.candidates == () and report.self_hits == (t.elements[2],)
+        a, b, c = t.elements
+        least = {c * ((x * x - t.k) // a) + t.k for x, *_ in _live_classes(a, b, t.k)}
+        assert set(square_tested) <= least
+        assert exact_steps(t, 30, square_tested) == 0
 
     def test_candidate_record_contract(self):
         # equality and repr by fields; frozen, yet unhashable, since roots is a dict
@@ -708,10 +751,11 @@ class TestBruteForceSearch:
         assert brute_force_search(t, max_m) == reference_brute_force(t, max_m), (t, max_m)
 
     def test_wheel_keeps_the_points_square_mod_16(self, walked, square_tested):
-        # the points tested exactly are those of the walk at which both
-        # other elements give a square mod 16, e > max_m as well: x at each
-        # of them, y where x*m + k is a square and m is no element, and
-        # then the self-hit tests of the two smallest elements a and b
+        # the points kept are those of the walk at which both other elements
+        # give a square mod 16, e > max_m as well.  x*m + k is tested exactly
+        # at each that passes dioph.arith's table mod 45045, y*m + k where that
+        # test succeeds, m is no element and y*m + k passes the table too, and
+        # then come the self-hit tests of the two smallest elements a and b
         squares = {0, 1, 4, 9}
         counts = {}
         cases = wheel_cases() + [(T_1_3_8, 8, 10**6), (T_7_14_41, 41, 10**6), (T_1_3_8, 3, 1)]
@@ -726,19 +770,21 @@ class TestBruteForceSearch:
             points = list(square_points(e, k, max_m))
             kept = [m for m, _ in points
                     if (x * m + k) % 16 in squares and (y * m + k) % 16 in squares]
-            tested = [x * m + k for m in kept]
-            tested += [y * m + k for m in kept
-                       if is_perfect_square(x * m + k) is not None and m not in t.elements]
+            passed = [m for m in kept if _SQUARES_MOD_45045[(x * m + k) % 45045]]
+            tested = [x * m + k for m in passed]
+            tested += [y * m + k for m in passed
+                       if is_perfect_square(x * m + k) is not None and m not in t.elements
+                       and _SQUARES_MOD_45045[(y * m + k) % 45045]]
             hits = [h for h in t.elements if h <= max_m]
             tested += [a * h + k for h in hits]
             tested += [b * h + k for h in hits if is_perfect_square(a * h + k) is not None]
             assert Counter(square_tested) == Counter(tested), (t, max_m)
-            counts[t.elements, max_m] = (len(points), len(kept))
+            counts[t.elements, max_m] = (len(points), len(kept), len(passed))
         # brute_force_search's docstring quotes these
-        assert counts[(1, 3, 8), 10**6] == (1413, 176)
-        assert counts[(7, 14, 41), 10**6] == (312, 0)
+        assert counts[(1, 3, 8), 10**6] == (1413, 176, 27)
+        assert counts[(7, 14, 41), 10**6] == (312, 0, 0)
         # 3 > max_m = 1: the wheel drops m = 1, as 1*1 + 1 = 2 is no square mod 16
-        assert counts[(1, 3, 8), 1] == (1, 0)
+        assert counts[(1, 3, 8), 1] == (1, 0, 0)
 
     def test_matches_smallest_element_walk_on_default_census(self, walked):
         triples = census_triples()

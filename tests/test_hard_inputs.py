@@ -6,11 +6,11 @@ limit (the run's ``timeout``) and an address-space limit
 (``resource.setrlimit(RLIMIT_AS)``, set in the child only, so nothing
 outside it changes).  A row must exit with its documented code, without a
 traceback, inside both limits.  The budgets are far above today's times
-(0.1-0.3 s each on a shared 2-vCPU host, about 1 s for the scaled bounded
-walk {7, 83, 138}*2^8), so a row fails on a blow-up, not on a slow
-neighbour.  An input whose budget does not hold yet, such as
-{7168, 14336, 41984} with k = 2^21 at the default cap, joins the table
-with the change that meets it.
+(0.1-0.3 s each on a shared 2-vCPU host, among them the Pell walks of
+{7168, 14336, 41984} with k = 2^21 and of {7, 83, 138}*2^8 at the default
+flags), so a row fails on a blow-up, not on a slow neighbour.  An input
+whose budget does not hold yet joins the table with the change that meets
+it.
 """
 
 import os
@@ -63,6 +63,12 @@ ROWS = [
                  id="7668-digit-unit"),
     pytest.param("Pell walk", ["extend", "--set", "1792,21248,35328", "--k", "-327680",
                                "--bound-index", "15"], 4, b"", id="scaled-bounded-walk"),
+    # c's own value stops matching by index 1 of each class, and the third
+    # square stage rejects what the first two pass
+    pytest.param("Pell walk", ["extend", "--set", "1792,21248,35328", "--k", "-327680"], 4, b"",
+                 id="scaled-bounded-walk-default-index"),
+    pytest.param("Pell walk", ["extend", "--set", "7168,14336,41984", "--k", "2097152"], 4, b"",
+                 id="1176-digit-unit-walk"),
 ]
 
 
