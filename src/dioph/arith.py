@@ -18,57 +18,48 @@ TRIAL_DIVISION_BOUND = 10**6
 
 # Squares land on only 44 of the 256 residues mod 256, 16 of the 63 mod 63,
 # 21 of the 65 mod 65, 6 of the 11 mod 11, and (p + 1)/2 of the p mod each
-# prime p = 17, 19, 23, 29, 31, 37, 41 and 43.  The tables run in three
-# stages, each on one residue below 2^30: the first reads n mod
-# 256*45045 = 256*63*65*11 as two tables, n mod 256 and n mod 45045, the
-# second n mod 215441 = 17*19*23*29 and the third n mod 2022161 =
-# 31*37*41*43.  A stage passes n exactly when it passes n's residue, so the
-# Pell walk of dioph.extension runs them on its members' residues mod
-# _SQUARE_MODULI.  The first two reject all but
+# prime p = 17, 19, 23, 29, 31, 37, 41 and 43.  _squares_mod builds one
+# table for a product of such moduli, and the tables run in three stages of
+# two reads, each stage on one residue below 2^30: the first reads n mod
+# 256*45045 = 256*63*65*11 as n mod 256 and n mod 45045, the second n mod
+# 215441 = 323*667 = 17*19*23*29 as n mod 323 and n mod 667, and the third
+# n mod 2022161 = 1147*1763 = 31*37*41*43 as n mod 1147 and n mod 1763.  A
+# stage passes n exactly when it passes n's residue, so the Pell walk of
+# dioph.extension runs them on its members' residues mod _SQUARE_MODULI.
+# One table mod 215441 would read the second stage at once, but each import
+# of dioph keeps its own tables, and perfbench, whose set-up imports dioph
+# five times in one process, then peaked 1.0-1.3 MB (4-6%) higher.
+# The first two stages reject all but
 # 44*16*21*6*9*10*12*15 / (256*63*65*11*17*19*23*29), about 1/1729, of
 # uniformly random values (the first alone leaves 1/130), and
 # is_perfect_square reads only those two before it computes a root; the
 # third leaves about 1/14 of what passes them.
-_SQUARES_MOD_256 = bytearray(256)
-_SQUARES_MOD_63 = bytearray(63)
-_SQUARES_MOD_65 = bytearray(65)
-_SQUARES_MOD_11 = bytearray(11)
-_SQUARES_MOD_17 = bytearray(17)
-_SQUARES_MOD_19 = bytearray(19)
-_SQUARES_MOD_23 = bytearray(23)
-_SQUARES_MOD_29 = bytearray(29)
-_SQUARES_MOD_31 = bytearray(31)
-_SQUARES_MOD_37 = bytearray(37)
-_SQUARES_MOD_41 = bytearray(41)
-_SQUARES_MOD_43 = bytearray(43)
-for _table in (_SQUARES_MOD_256, _SQUARES_MOD_63, _SQUARES_MOD_65, _SQUARES_MOD_11,
-               _SQUARES_MOD_17, _SQUARES_MOD_19, _SQUARES_MOD_23, _SQUARES_MOD_29,
-               _SQUARES_MOD_31, _SQUARES_MOD_37, _SQUARES_MOD_41, _SQUARES_MOD_43):
-    for _r in range(len(_table)):
-        _table[_r * _r % len(_table)] = 1
-del _table, _r
-# the tables mod 63, 65 and 11 as one: byte r of each table repeated to
-# 45045 bytes is its entry at r mod its length, and the bytes are 0 or 1,
-# so the AND of the three as integers is the AND entry by entry
-_SQUARES_MOD_45045 = (int.from_bytes(_SQUARES_MOD_63 * 715, "big")
-                      & int.from_bytes(_SQUARES_MOD_65 * 693, "big")
-                      & int.from_bytes(_SQUARES_MOD_11 * 4095, "big")).to_bytes(45045, "big")
+
+
+def _squares_mod(*moduli: int) -> bytes:
+    # byte r is 1 exactly when r is a square mod the product of the
+    # pairwise-coprime moduli: by the CRT, when it is one mod each modulus.
+    # Byte r of a modulus's table repeated to the product's length is its
+    # entry at r mod that modulus, and the bytes are 0 or 1, so the AND of
+    # the repeated tables as integers is the AND entry by entry
+    size = math.prod(moduli)
+    table = -1
+    for q in moduli:
+        row = bytearray(q)
+        for r in range(q):
+            row[r * r % q] = 1
+        table &= int.from_bytes(row * (size // q), "big")
+    return table.to_bytes(size, "big")
+
+
+_SQUARES_MOD_256 = _squares_mod(256)
+_SQUARES_MOD_45045 = _squares_mod(63, 65, 11)
+_SQUARES_MOD_323 = _squares_mod(17, 19)
+_SQUARES_MOD_667 = _squares_mod(23, 29)
+_SQUARES_MOD_1147 = _squares_mod(31, 37)
+_SQUARES_MOD_1763 = _squares_mod(41, 43)
 
 _SQUARE_MODULI = (256 * 45045, 215441, 2022161)
-
-
-def _second_square_stage(n: int) -> bool:
-    # False only when n >= 0 is no square by the tables mod 17, 19, 23 and 29
-    res = n % 215441
-    return bool(_SQUARES_MOD_17[res % 17] and _SQUARES_MOD_19[res % 19]
-                and _SQUARES_MOD_23[res % 23] and _SQUARES_MOD_29[res % 29])
-
-
-def _third_square_stage(n: int) -> bool:
-    # False only when n >= 0 is no square by the tables mod 31, 37, 41 and 43
-    res = n % 2022161
-    return bool(_SQUARES_MOD_31[res % 31] and _SQUARES_MOD_37[res % 37]
-                and _SQUARES_MOD_41[res % 41] and _SQUARES_MOD_43[res % 43])
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -77,7 +68,7 @@ def is_perfect_square(n: int) -> int | None:
     Negative n is never a perfect square.
     """
     if n < 0 or not (_SQUARES_MOD_256[n & 255] and _SQUARES_MOD_45045[n % 45045]
-                     and _second_square_stage(n)):
+                     and _SQUARES_MOD_323[n % 323] and _SQUARES_MOD_667[n % 667]):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None

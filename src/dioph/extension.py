@@ -29,9 +29,11 @@ from math import gcd, inf, isqrt
 from .arith import (
     _SQUARE_MODULI,
     _SQUARES_MOD_256,
+    _SQUARES_MOD_323,
+    _SQUARES_MOD_667,
+    _SQUARES_MOD_1147,
+    _SQUARES_MOD_1763,
     _SQUARES_MOD_45045,
-    _second_square_stage,
-    _third_square_stage,
     is_perfect_square,
 )
 from .pell import _class_points
@@ -294,13 +296,13 @@ def _pell_walk(t: DiophTuple, max_index: int) -> SearchReport:
                 for _ in range(n - s_at):
                     s0, s, s1 = s, s1, (q2 * (s1 - s) + s0) % M2
                 s_at = n
-                if s == own2 or _second_square_stage(s):
+                if s == own2 or (_SQUARES_MOD_323[s % 323] and _SQUARES_MOD_667[s % 667]):
                     if u_at < 0:  # w still stands at the least member
                         u0, u, u1, q3, u_at = w0 % M3, w % M3, w1 % M3, q % M3, 0
                     for _ in range(n - u_at):
                         u0, u, u1 = u, u1, (q3 * (u1 - u) + u0) % M3
                     u_at = n
-                    if u == own3 or _third_square_stage(u):
+                    if u == own3 or (_SQUARES_MOD_1147[u % 1147] and _SQUARES_MOD_1763[u % 1763]):
                         for _ in range(n - w_at):
                             w0, w, w1 = w, w1, q * (w1 - w) + w0
                         w_at = n

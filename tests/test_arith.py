@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,33 +48,33 @@ class TestIsPerfectSquare:
         expected = r if r * r == n else None
         assert is_perfect_square(n) == expected
 
-    @pytest.mark.parametrize("q", [256, 45045, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43])
+    @pytest.mark.parametrize(
+        "q", [256, 45045, 63, 65, 11, 323, 17, 19, 667, 23, 29, 1147, 31, 37, 1763, 41, 43])
     def test_residue_tables_hold_exactly_the_squares(self, q):
-        table = getattr(arith, f"_SQUARES_MOD_{q}")
-        assert len(table) == q
-        assert {r for r in range(q) if table[r]} == {r * r % q for r in range(q)}
-        # the stage that reads the table may read it from a residue mod its modulus
-        stage = [q in (256, 45045, 63, 65, 11), q in (17, 19, 23, 29), q in (31, 37, 41, 43)]
-        assert arith._SQUARE_MODULI[stage.index(True)] % q == 0
+        # the six tables, each with the stage whose modulus its length
+        # divides, so that the stage may read it from a residue mod that
+        # modulus.  q runs over their lengths and the moduli that multiply
+        # to them: read mod q, a table holds exactly the squares mod q
+        tables = {arith._SQUARES_MOD_256: 0, arith._SQUARES_MOD_45045: 0,
+                  arith._SQUARES_MOD_323: 1, arith._SQUARES_MOD_667: 1,
+                  arith._SQUARES_MOD_1147: 2, arith._SQUARES_MOD_1763: 2}
+        [(table, stage)] = [(table, stage) for table, stage in tables.items() if len(table) % q == 0]
+        assert {r % q for r in range(len(table)) if table[r]} == {r * r % q for r in range(q)}
+        assert arith._SQUARE_MODULI[stage] % len(table) == 0
 
-    def test_mod_45045_table_is_the_and_of_the_tables_mod_63_65_and_11(self):
-        table = arith._SQUARES_MOD_45045
-        for r in range(45045):
-            assert table[r] == (arith._SQUARES_MOD_63[r % 63] and arith._SQUARES_MOD_65[r % 65]
-                                and arith._SQUARES_MOD_11[r % 11]), r
-
-    @given(st.integers(min_value=0, max_value=10**40))
-    def test_each_square_stage_reads_only_the_residue_of_its_modulus(self, n):
-        # the Pell walk runs the stages on its members' residues; the first
-        # is read inline, from the tables mod 256 and mod 45045
-        first, second, third = arith._SQUARE_MODULI
-
-        def first_stage(v):
-            return bool(arith._SQUARES_MOD_256[v & 255] and arith._SQUARES_MOD_45045[v % 45045])
-
-        assert first_stage(n) == first_stage(n % first)
-        assert arith._second_square_stage(n) == arith._second_square_stage(n % second)
-        assert arith._third_square_stage(n) == arith._third_square_stage(n % third)
+    def test_squares_mod_builds_the_table_of_a_coprime_product(self):
+        # every tuple of pairwise-coprime moduli from 1 to 12, taken in
+        # ascending order: byte r is 1 exactly when r is a square mod the product
+        moduli = range(1, 13)
+        tuples = [()]
+        for q in moduli:
+            tuples += [qs + (q,) for qs in tuples if all(gcd(p, q) == 1 for p in qs)]
+        for qs in tuples[1:]:
+            n = prod(qs)
+            table = arith._squares_mod(*qs)
+            assert len(table) == n, qs
+            assert {r for r in range(n) if table[r]} == {r * r % n for r in range(n)}, qs
+            assert set(table) <= {0, 1}, qs
 
     @given(st.one_of(
         st.integers(min_value=0, max_value=10**5000).flatmap(

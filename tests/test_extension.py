@@ -142,28 +142,49 @@ def reference_ladder(t, max_index):
     return dict(sorted(rungs.items())), tuple(sorted(hits))
 
 
+# the moduli whose squares dioph.arith's square filter reads, in its three
+# stages: mod 256*63*65*11, mod 17*19*23*29 and mod 31*37*41*43
+SQUARE_FILTER_MODULI = (256, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@cache
+def squares_mod(q):
+    """The squares mod q, enumerated."""
+    return frozenset(r * r % q for r in range(q))
+
+
 def exact_steps(t, max_index, tested):
     """The exact recurrence steps of pell_extension_search(t, max_index),
     read off the values it tested for a square.
 
     A class steps its exact w from its least member up to the last member
-    it tests, and it tests every member it steps to (a w that is no
-    element's c*e + k and exceeds k goes to is_perfect_square), so the
-    steps are the sum over the classes of the index of the last member
-    whose w is in tested.  Members are told apart by w mod the prime
+    that passes the three square stages, and at each member it steps to it
+    looks w up among the elements' c*e + k, compares it with k, and sends
+    it to is_perfect_square when it is neither.  So the steps are the sum
+    over the classes of the index of the last member whose w is in tested
+    or is some c*e + k, or is <= k and a square mod every modulus of the
+    filter.  Along a class w does not fall from index 0 on (that function's
+    docstring), so the members with w <= k are a run from index 0, read
+    with their exact w; past it, members are told apart by w mod the prime
     2^61 - 1, stepped by the recurrence of that function's docstring."""
     P = 2**61 - 1
     a, b, c = t.elements
     k = t.k
-    tested = {v % P for v in tested}
+    marks = {v % P for v in tested} | {(c * e + k) % P for e in t.elements}
     steps = 0
     for x, Y, x1, y1 in _live_classes(a, b, k):
         xb, xf = x1 * x - a * y1 * Y, x1 * x + a * y1 * Y
-        w0, w, w1 = ((c * ((z * z - k) // a) + k) % P for z in (xb, x, xf))
-        q = (4 * x1 * x1 - 1) % P
-        last = 0
-        for n in range(max_index + 1):
-            if w in tested:
+        w0, w, w1 = (c * ((z * z - k) // a) + k for z in (xb, x, xf))
+        q = 4 * x1 * x1 - 1
+        last = n = 0
+        while n <= max_index and w <= k:
+            if all(w % p in squares_mod(p) for p in SQUARE_FILTER_MODULI):
+                last = n
+            w0, w, w1 = w, w1, q * (w1 - w) + w0
+            n += 1
+        w0, w, w1, q = w0 % P, w % P, w1 % P, q % P
+        for n in range(n, max_index + 1):
+            if w in marks:
                 last = n
             w0, w, w1 = w, w1, (q * (w1 - w) + w0) % P
         steps += last
@@ -239,12 +260,6 @@ def triples_dk_or_not(draw):
         return t
     elements[swapped] = draw(st.sampled_from(partners))
     return DiophTuple(tuple(elements), t.k)
-
-
-@cache
-def squares_mod_2_to(j):
-    """The squares mod 2^j, enumerated."""
-    return frozenset(r * r % (1 << j) for r in range(1 << j))
 
 
 def is_2_adic_square_or_zero(x):
@@ -637,6 +652,18 @@ class TestPellExtensionSearch:
         assert set(square_tested) <= least
         assert exact_steps(t, 30, square_tested) == 0
 
+    @pytest.mark.parametrize("index,steps,tested", [(15, 4323, 936), (30, 12588, 1391)])
+    def test_the_square_filter_leaves_the_pool_few_exact_steps(self, index, steps, tested, square_tested):
+        # the pool's walks (7654 live classes, 237 274 members at index 30)
+        # step a member exactly only where it passes the three square
+        # stages; a table that passed more would step, and test, more
+        total = 0
+        for t in benchmark_pool():
+            start = len(square_tested)
+            pell_extension_search(t, index)
+            total += exact_steps(t, index, square_tested[start:])
+        assert (total, len(square_tested)) == (steps, tested)
+
     def test_candidate_record_contract(self):
         # equality and repr by fields; frozen, yet unhashable, since roots is a dict
         found = pell_extension_search(T_1_3_8, 15).candidates
@@ -935,7 +962,7 @@ class TestFindCertificate:
         # square mod 2^j, against the squares mod each 2^j enumerated
         for top in range(1, 13):
             for x in range(-(1 << top), 1 << (top + 1)):
-                expected = max(j for j in range(1, top + 1) if x % (1 << j) in squares_mod_2_to(j))
+                expected = max(j for j in range(1, top + 1) if x % (1 << j) in squares_mod(1 << j))
                 assert min(_square_depth(x), top) == expected, (x, top)
 
     @settings(max_examples=300, deadline=None)
@@ -946,7 +973,7 @@ class TestFindCertificate:
         # exactly at 0 and the squares in Z_2, and at least j exactly when
         # x is a square mod 2^j
         assert (_square_depth(x) == inf) == is_2_adic_square_or_zero(x), x
-        assert (_square_depth(x) >= j) == (x % (1 << j) in squares_mod_2_to(j)), (x, j)
+        assert (_square_depth(x) >= j) == (x % (1 << j) in squares_mod(1 << j)), (x, j)
 
     def test_listing_matches_enumeration(self):
         # the certifying branch's progressions against the enumerated
@@ -1123,7 +1150,7 @@ class TestFindCertificate:
             if find_certificate(t, 1 << 64) is not None:
                 continue
             j = (t.k & -t.k).bit_length() + 3
-            squares = squares_mod_2_to(j)
+            squares = squares_mod(1 << j)
             m = next(m for m in range(1 << j)
                      if all((e * m + t.k) % (1 << j) in squares for e in t.elements))
             # at m = 0 every value is k, read once
@@ -1159,7 +1186,7 @@ class TestFindCertificate:
             Q, low_Q = 1 << N, 1 << L
             for kap in (1, 3, 5, 7):
                 k = kap << v
-                squares, low_squares = squares_mod_2_to(N), squares_mod_2_to(L)
+                squares, low_squares = squares_mod(1 << N), squares_mod(1 << L)
                 # bit m of allowed[e] (m < 2^N) and of low[e] (m < 2^L): e*m + k
                 # is a square mod 2^N, mod 2^L; read at m = f, bit f of
                 # allowed[e] says that the pair value e*f + k is one mod 2^N
