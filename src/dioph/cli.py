@@ -23,6 +23,7 @@ from .extension import (
     VERDICT_BOUNDED,
     VERDICT_CERTIFIED,
     VERDICT_EXTENDED,
+    _DEFAULT_MAX_MODULUS,
     ModularCertificate,
     SearchReport,
     _search,
@@ -93,8 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="unit multiplications to walk per solution class (default %(default)s)")
     p.add_argument("--max-m", type=int, default=10**6,
                    help="ceiling for the brute-force strategy (default %(default)s)")
-    p.add_argument("--max-modulus", type=int, default=10**5,
-                   help="largest modulus tried for a certificate (default %(default)s)")
+    p.add_argument("--max-modulus", type=int, default=_DEFAULT_MAX_MODULUS,
+                   help="certificate scan cap: the scan stops at min(cap, 2^(v_2(k)+4)), "
+                        "so a larger cap changes nothing (default %(default)s)")
     p.add_argument("--strategy", choices=["pell", "brute"], default="pell")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_extend)
@@ -335,12 +337,8 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     return 0 if excluded else 1
 
 
-# the census's fixed search settings, unit-index depth and modulus cap: no
-# triple with elements <= 150 and |k| <= 30 changes its verdict at depth 30
-# and cap 10^5.  For the cap that holds for every k with v_2(k) <= 5, proved:
-# the scan ends by 2^(v_2(k)+4) <= 512 = 2^9, so no cap certifies more
+# the census's unit-index depth; at depth 30 no verdict with elements <= 150, |k| <= 30 moves
 _CENSUS_BOUND_INDEX = 15
-_CENSUS_MAX_MODULUS = 512
 
 # census columns: the key each row counts, and its heading
 _CENSUS_COLUMNS = {"triples": "triples", "regular": "regular", VERDICT_EXTENDED: "extended",
@@ -359,7 +357,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     _check_bounds(args, limit=1, show=0, k_max=args.k_min or 1)
     start = time.perf_counter()
     print(f"elements <= {args.limit}, k in [{args.k_min}, {args.k_max}], "
-          f"search depth {_CENSUS_BOUND_INDEX}, modulus cap {_CENSUS_MAX_MODULUS}\n")
+          f"search depth {_CENSUS_BOUND_INDEX}, modulus cap {_DEFAULT_MAX_MODULUS}\n")
     header = _census_row("k", _CENSUS_COLUMNS)
     print(header)
     print("-" * len(header))
@@ -373,7 +371,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             t = DiophTuple(elements, k)
             counts["triples"] += 1
             counts["regular"] += is_regular(t)
-            report = search_and_certify(t, _CENSUS_BOUND_INDEX, _CENSUS_MAX_MODULUS)
+            report = search_and_certify(t, _CENSUS_BOUND_INDEX)
             counts[report.verdict] += 1
             if report.certificate and len(examples) < args.show:
                 examples.append((elements, report.certificate.modulus))

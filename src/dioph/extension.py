@@ -56,6 +56,8 @@ VERDICT_CERTIFIED = "certified_non_extendable"
 
 # brute_force_search's wheel: m mod 16 repeats every 16 steps of a root walk
 _WHEEL = 16
+# the certificate scan's default cap: search_and_certify's, extend's, census's
+_DEFAULT_MAX_MODULUS = 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,14 +529,14 @@ def find_certificate(t: DiophTuple, max_modulus: int) -> ModularCertificate | No
        - a - b = 2: e*f + k = 2^v*(kap + 4*eps*phi) gives kap = 5 (mod 8),
          and 2*a = v + 2: P2 with x = e.
        - a - b = -2: e*f + k = 2^(2a)*(eps*phi + 4*kap) gives
-         eps*phi = 5 (mod 8).  Let g be the third element.  If
-         v_2(g) < a, P1 holds with x = g.  v_2(g) = a is impossible: e*g + k
-         and f*g + k would give eps*gam = phi*gam = 5 (mod 8) for g's odd
-         part gam in the same way, so eps*phi = 1 (mod 8).  v_2(g) = a + 1
-         gives e*g + k an odd valuation.  If v_2(g) >= a + 2, g's value
-         2^v*(kap + g*m/2^v) is a nonzero square, and g*m/2^v is 4 (mod 8)
-         when v_2(g) = a + 2, so kap = 5 and P2 holds with x = g, and
-         0 (mod 8) beyond, so kap = 1: P0.
+         eps*phi = 5 (mod 8).  Let g be the third element, with odd part
+         gam.  v_2(g) <= a is impossible: e*g + k = 2^(a+v_2(g))*(eps*gam +
+         4*r) for an integer r, f*g + k = 2^(a+v_2(g))*(phi*gam + 4*r), and
+         two squares give eps*gam = phi*gam (mod 8), so eps*phi = 1 (mod 8).
+         v_2(g) = a + 1 gives e*g + k an odd valuation.  If v_2(g) >= a + 2,
+         g's value 2^v*(kap + g*m/2^v) is a nonzero square, and g*m/2^v is
+         4 (mod 8) when v_2(g) = a + 2, so kap = 5 and P2 holds with x = g,
+         and 0 (mod 8) beyond, so kap = 1: P0.
        - a - b = 0: v = 2a, and the even e*f + k = 2^v*(eps*phi + kap)
          gives kap = 3 (mod 4).  If the third element g is in H too, its
          odd part is eps (mod 4) as well, and m = 2^(a+1)*u with u odd and
@@ -644,15 +646,15 @@ def verify_certificate(cert: ModularCertificate, t: DiophTuple) -> bool:
 def search_and_certify(
     t: DiophTuple,
     max_index: int = 30,
-    max_modulus: int = 10**5,
+    max_modulus: int = _DEFAULT_MAX_MODULUS,
 ) -> SearchReport:
     """Certificate first; the Pell walk only when no certificate exists.
 
     The bounds are checked, max_modulus first, and t is verified once.
-    The powers of 2 up to max_modulus are then scanned as find_certificate
-    does.  A certified report has no candidates and no self-hits: the
-    certificate excludes every integer m, so the walk could not extend the
-    triple, and it is skipped.  Otherwise the report is
-    pell_extension_search(t, max_index)'s, an extended or a bounded one.
+    The powers of 2 up to min(max_modulus, 2^(v_2(k)+4)) are then scanned
+    as find_certificate does, so a larger cap changes nothing.  A certified
+    report has no candidates and no self-hits: the certificate excludes
+    every integer m, so the walk could not extend the triple, and it is
+    skipped.  Otherwise it is pell_extension_search(t, max_index)'s report.
     """
     return _search(t, "pell_sequence", max_index, max_modulus)

@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dioph import DiophTuple, enumerate_triples, find_certificate, search_and_certify
+from dioph.cli import _CENSUS_BOUND_INDEX, main as dioph_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from triple_census import main  # noqa: E402
@@ -27,14 +29,48 @@ def test_default_run_totals(capsys, argv, totals):
 
 
 def test_default_run_certificate_moduli():
-    # the census defaults: elements <= 150, k in [-5, 5], depth 15, cap 512
+    # the census's own settings: elements <= 150, k in [-5, 5], its depth
+    # and the library's default cap
     moduli = Counter()
     for k in [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]:
         for elements in enumerate_triples(150, k):
-            cert = search_and_certify(DiophTuple(elements, k), 15, 512).certificate
+            cert = search_and_certify(DiophTuple(elements, k), _CENSUS_BOUND_INDEX).certificate
             if cert is not None:
                 moduli[cert.modulus] += 1
     assert moduli == {4: 79, 8: 72, 16: 73, 64: 4}
+
+
+# k with v_2(k) >= 6, elements <= 150: each k's row (triples, regular,
+# extended, certified, bounded).  A cap of 512 ended the scan below its last
+# level 2^(v_2(k)+4) and counted 18 of these triples bounded
+CENSUS_ROWS_PAST_512 = {
+    -64: [77, 63, 22, 9, 46], 64: [108, 92, 74, 0, 34],
+    -128: [99, 83, 20, 6, 73], 128: [30, 30, 1, 3, 26],
+    -192: [75, 63, 20, 8, 47], 192: [38, 35, 2, 6, 30],
+    -256: [64, 55, 21, 4, 39], 256: [89, 65, 47, 0, 42],
+    -320: [122, 97, 41, 18, 63], 320: [27, 24, 2, 3, 22],
+    -512: [85, 69, 27, 3, 55], 512: [21, 19, 1, 1, 19],
+    -1280: [85, 71, 31, 5, 49],
+}
+
+
+def test_census_certifies_what_extend_certifies_past_modulus_512(capsys):
+    totals = [0] * 5
+    certified = set()
+    for k, row in CENSUS_ROWS_PAST_512.items():
+        assert main(["--k-min", str(k), "--k-max", str(k), "--show", "150"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("search depth 15, modulus cap 100000")
+        assert lines[4].split() == [str(k)] + [str(n) for n in row]
+        certified |= {(k, line.split(": ")[1]) for line in lines if "certified:" in line}
+        totals = [t + n for t, n in zip(totals, row)]
+    assert totals == [920, 766, 309, 66, 545]
+    assert len(certified) == 66
+    # dioph extend certifies the same two at the same moduli, exit 3
+    for k, elements, modulus in [(-64, "16,40,104", 1024), (-1280, "16,96,144", 4096)]:
+        assert (k, f"({elements.replace(',', ', ')}) at modulus {modulus}") in certified
+        assert dioph_main(["extend", "--set", elements, "--k", str(k), "--output", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["certificate"]["modulus"] == modulus
 
 
 def test_the_papers_two_halves_on_the_wide_census():
@@ -132,7 +168,8 @@ def test_bad_bound_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("flag,value", [("--bound-index", "15"), ("--max-modulus", "512")])
 def test_search_settings_are_not_options(capsys, flag, value):
-    # the census searches at depth 15 and cap 512, whatever it is asked
+    # the census searches at depth 15 and the library's default cap,
+    # whatever it is asked
     assert main([flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
